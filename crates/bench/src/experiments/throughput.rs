@@ -61,8 +61,10 @@ fn run_fused(
     workers: usize,
 ) -> FusedRun {
     let t0 = Instant::now();
-    let mut service = ScoringService::new(workers);
-    service.add_shard("sdss", Arc::clone(pipeline), pool.to_vec());
+    let mut service = ScoringService::builder()
+        .workers(workers)
+        .shard("sdss", Arc::clone(pipeline), pool.to_vec())
+        .build();
     for req in requests {
         service.submit("sdss", req.clone());
     }
@@ -151,9 +153,11 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
     );
 
     let t0 = Instant::now();
-    let mut service = ScoringService::new(workers);
-    service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
-    service.add_shard("car", Arc::clone(&car_pipeline), car_pool);
+    let mut service = ScoringService::builder()
+        .workers(workers)
+        .shard("sdss", Arc::clone(&pipeline), pool.clone())
+        .shard("car", Arc::clone(&car_pipeline), car_pool)
+        .build();
     for (s, c) in requests.iter().take(sessions / 2).zip(&car_requests) {
         service.submit("sdss", s.clone());
         service.submit("car", c.clone());

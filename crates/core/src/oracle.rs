@@ -70,11 +70,31 @@ impl ConjunctiveOracle {
         &self.parts
     }
 
-    /// Label a full-space row.
+    /// True when the truth has exactly one region per subspace of
+    /// `subspaces`, in that order — the condition under which labelling a
+    /// full-space row equals ANDing each region's test on the row's
+    /// projections onto `subspaces`.
+    pub fn matches_subspaces(&self, subspaces: &[Subspace]) -> bool {
+        self.parts.iter().map(|(sub, _)| sub).eq(subspaces)
+    }
+
+    /// Label a full-space row. Allocation-free: each projection goes
+    /// through a stack buffer, and only a subspace wider than the buffer
+    /// falls back to [`Subspace::project_row`].
     pub fn label(&self, row: &[f64]) -> bool {
-        self.parts
-            .iter()
-            .all(|(sub, region)| region.contains(&sub.project_row(row)))
+        let mut buf = [0.0f64; 8];
+        self.parts.iter().all(|(sub, region)| {
+            let attrs = sub.attr_indices();
+            match buf.get_mut(..attrs.len()) {
+                Some(proj) => {
+                    for (x, &a) in proj.iter_mut().zip(attrs) {
+                        *x = row[a];
+                    }
+                    region.contains(proj)
+                }
+                None => region.contains(&sub.project_row(row)),
+            }
+        })
     }
 
     /// Fraction of interesting rows in a pool (UIR selectivity). Accepts

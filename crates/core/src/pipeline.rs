@@ -24,6 +24,7 @@ use crate::uis::{generate_uis, UisMode};
 use lte_data::rng::{derive_seed, seeded};
 use lte_data::subspace::Subspace;
 use lte_data::table::Table;
+use lte_geom::RegionUnion;
 use std::time::Instant;
 
 /// Timing and quality report of the offline phase.
@@ -97,6 +98,77 @@ impl UirOutcome {
             scored.truncate(k);
         }
         scored
+    }
+}
+
+/// Folds finished subspace rounds into a [`UirOutcome`], `Ru = ∧ Ri` — the
+/// one copy of the per-round ground-truth bookkeeping, shared by
+/// [`LtePipeline::explore_with_pool`] and the serving tick.
+///
+/// [`UirFold::push`] grades a round against its subspace's region over the
+/// round's projected pool rows, then ANDs both the predictions and those
+/// truth bits into the running conjunction. A [`ConjunctiveOracle`] labels a
+/// full-space row by the same `contains` test on each projection, so when
+/// the truth's subspaces are the pool's (see
+/// [`ConjunctiveOracle::matches_subspaces`]) the AND of the truth bits *is*
+/// `truth.label(row)`, and [`UirFold::finish`] never re-labels the pool.
+#[derive(Debug, Clone, Default)]
+pub struct UirFold {
+    uir_pred: Vec<bool>,
+    uir_truth: Vec<bool>,
+    per_subspace_f1: Vec<f64>,
+    online_seconds: f64,
+    subspace_outcomes: Vec<ExploreOutcome>,
+}
+
+impl UirFold {
+    /// An empty fold over a pool of `rows` rows.
+    pub fn new(rows: usize) -> Self {
+        Self {
+            uir_pred: vec![true; rows],
+            uir_truth: vec![true; rows],
+            ..Self::default()
+        }
+    }
+
+    /// Fold one finished round whose ground truth is `region` and whose
+    /// predictions cover the projected pool rows `proj`.
+    ///
+    /// # Panics
+    /// Panics when the round does not cover every pool row.
+    pub fn push(&mut self, outcome: ExploreOutcome, region: &RegionUnion, proj: &[Vec<f64>]) {
+        assert!(
+            outcome.predictions.len() == self.uir_pred.len() && proj.len() == self.uir_pred.len(),
+            "a round must cover every pool row"
+        );
+        let mut confusion = ConfusionMatrix::default();
+        for (((&pred, row), uir_pred), uir_truth) in outcome
+            .predictions
+            .iter()
+            .zip(proj)
+            .zip(&mut self.uir_pred)
+            .zip(&mut self.uir_truth)
+        {
+            let truth = region.contains(row);
+            confusion.record(pred, truth);
+            *uir_pred &= pred;
+            *uir_truth &= truth;
+        }
+        self.per_subspace_f1.push(confusion.f1());
+        self.online_seconds += outcome.online_seconds;
+        self.subspace_outcomes.push(outcome);
+    }
+
+    /// The session's outcome: the conjunctive confusion over the pool plus
+    /// every folded round.
+    pub fn finish(self, labels_used: usize) -> UirOutcome {
+        UirOutcome {
+            confusion: ConfusionMatrix::from_pairs(self.uir_pred.into_iter().zip(self.uir_truth)),
+            per_subspace_f1: self.per_subspace_f1,
+            online_seconds: self.online_seconds,
+            labels_used,
+            subspace_outcomes: self.subspace_outcomes,
+        }
     }
 }
 
@@ -348,22 +420,15 @@ impl LtePipeline {
         variant: Variant,
         seed: u64,
     ) -> UirOutcome {
-        assert_eq!(
-            truth.parts().len(),
-            self.subspaces.len(),
-            "one ground-truth region per subspace required"
+        assert!(
+            truth.matches_subspaces(&self.subspaces),
+            "one ground-truth region per subspace required, in pipeline order"
         );
         assert_eq!(pool.rows(), eval_rows.len(), "pool/eval row count mismatch");
-        let mut subspace_outcomes = Vec::with_capacity(self.subspaces.len());
-        let mut per_subspace_f1 = Vec::with_capacity(self.subspaces.len());
-        let mut online_seconds = 0.0;
-
-        // Conjunctive predictions start all-true and are AND-ed per subspace.
-        let mut uir_pred = vec![true; eval_rows.len()];
+        let mut fold = UirFold::new(eval_rows.len());
 
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let (sub, region) = &truth.parts()[i];
-            debug_assert_eq!(sub, &self.subspaces[i]);
+            let region = &truth.parts()[i].1;
             let oracle = RegionOracle::new(region.clone());
 
             let learner = match variant {
@@ -394,37 +459,9 @@ impl LtePipeline {
                 variant,
                 score_seconds,
             );
-            online_seconds += outcome.online_seconds;
-
-            let sub_confusion = ConfusionMatrix::from_pairs(
-                outcome
-                    .predictions
-                    .iter()
-                    .zip(pool.proj(i))
-                    .map(|(&pred, row)| (pred, region.contains(row))),
-            );
-            per_subspace_f1.push(sub_confusion.f1());
-
-            for (pred, sub_pred) in uir_pred.iter_mut().zip(&outcome.predictions) {
-                *pred &= sub_pred;
-            }
-            subspace_outcomes.push(outcome);
+            fold.push(outcome, region, pool.proj(i));
         }
-
-        let confusion = ConfusionMatrix::from_pairs(
-            uir_pred
-                .iter()
-                .zip(eval_rows)
-                .map(|(&pred, row)| (pred, truth.label(row))),
-        );
-
-        UirOutcome {
-            confusion,
-            per_subspace_f1,
-            online_seconds,
-            labels_used: self.config.budget(),
-            subspace_outcomes,
-        }
+        fold.finish(self.config.budget())
     }
 }
 
@@ -482,6 +519,15 @@ mod tests {
             let sub_pos = sub.predictions.iter().filter(|&&b| b).count();
             assert!(conj_pos <= sub_pos);
         }
+        // The fold's ANDed per-round truth bits are the full-space labels.
+        let relabelled = ConfusionMatrix::from_pairs(
+            outcome
+                .uir_predictions()
+                .into_iter()
+                .zip(&eval)
+                .map(|(pred, row)| (pred, truth.label(row))),
+        );
+        assert_eq!(outcome.confusion, relabelled);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for the simulated-analyst behavior layer: zero noise and
 //! zero shift must degenerate to the wrapped oracle *exactly*, abandonment
 //! must never emit labels past its round, and selectivity must stay a
-//! probability under any interest shift.
+//! probability under any interest shift. The ground truth underneath, the
+//! allocation-free `ConjunctiveOracle::label`, must agree with projecting
+//! each row through `Subspace::project_row`.
 
 use lte_core::oracle::{
     BehaviorOracle, ConjunctiveOracle, NoisyOracle, RegionOracle, SubspaceOracle,
@@ -43,6 +45,38 @@ proptest! {
             prop_assert_eq!(noisy.label(row), inner.label(row));
             prop_assert_eq!(analyst.label_full(row), inner.label(row));
             prop_assert_eq!(analyst.subspace_view(0).label(row), inner.label(row));
+        }
+    }
+
+    /// Labelling through the oracle's stack-buffer projection equals the
+    /// AND of each region's test on the allocated projection — for
+    /// repeated and reordered attributes, and for subspaces wider than the
+    /// buffer.
+    #[test]
+    fn conjunctive_label_matches_projected_containment(
+        parts in proptest::collection::vec(
+            (proptest::collection::vec(0usize..12, 1..12), -0.3..0.3f64, 0.6..1.4f64),
+            1..4),
+        rows in proptest::collection::vec(
+            proptest::collection::vec(0.0..1.0f64, 12), 1..30),
+    ) {
+        let parts: Vec<(Subspace, RegionUnion)> = parts
+            .into_iter()
+            .map(|(attrs, lo, w)| {
+                let dim = attrs.len();
+                let region = RegionUnion::new(vec![Region::Box(Aabb::new(
+                    vec![lo; dim],
+                    vec![lo + w; dim],
+                ))]);
+                (Subspace::new(attrs), region)
+            })
+            .collect();
+        let truth = ConjunctiveOracle::new(parts.clone());
+        for row in &rows {
+            let want = parts
+                .iter()
+                .all(|(sub, region)| region.contains(&sub.project_row(row)));
+            prop_assert_eq!(truth.label(row), want);
         }
     }
 

@@ -24,10 +24,14 @@
 //!    [`lte_core::classifier::score_pool_fused_with`] call. Scores are
 //!    bit-identical to the per-session calls (row independence), so fusing
 //!    is invisible to outcomes.
-//! 5. **finish** — predictions, `Meta*` revision, per-subspace bookkeeping
-//!    ([`lte_core::explore::finish_round`]).
+//! 5. **finish** — predictions and `Meta*` revision
+//!    ([`lte_core::explore::finish_round`]), then the round is graded
+//!    against its ground-truth region and folded into the session's
+//!    [`UirFold`] — all inside the parallel job, so the serial remainder
+//!    is O(1) per session.
 //! 6. **drain** — sessions whose last subspace finished emit a
-//!    [`ServiceOutcome`] and release their admission slot.
+//!    [`ServiceOutcome`] (their fold's conjunctive confusion; the pool is
+//!    not re-labelled) and release their admission slot.
 //!
 //! Everything that affects outcomes is counter-based (submission order,
 //! tick index, per-round seed stream `derive_seed(seed, 2000 + round)` —
@@ -42,13 +46,13 @@ use crate::engine::{SessionEngine, SessionOutcome, SessionRequest};
 use crate::stats::ThroughputStats;
 use crate::swap::SwapCell;
 use lte_core::classifier::{score_pool_fused_with, PoolScoreRequest};
-use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRound, Variant};
-use lte_core::metrics::ConfusionMatrix;
+use lte_core::explore::{finish_round, prepare_round, PreparedRound, Variant};
 use lte_core::oracle::RegionOracle;
 use lte_core::parallel::{default_threads, parallel_map};
-use lte_core::pipeline::{EncodedPool, LtePipeline, UirOutcome};
+use lte_core::pipeline::{EncodedPool, LtePipeline, UirFold, UirOutcome};
 use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
 use lte_data::rng::derive_seed;
+use lte_data::subspace::Subspace;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,7 +63,9 @@ struct Shard {
     name: String,
     cell: Arc<SwapCell>,
     eval_rows: Vec<Vec<f64>>,
-    n_subspaces: usize,
+    /// The decomposition every epoch of the shard must keep: submitted
+    /// truths and swapped-in pipelines are checked against it.
+    subspaces: Vec<Subspace>,
     cache: Option<ShardCache>,
 }
 
@@ -105,11 +111,8 @@ struct ActiveSession {
     submit_tick: u64,
     admitted_tick: u64,
     round: usize,
-    uir_pred: Vec<bool>,
-    per_subspace_f1: Vec<f64>,
-    subspace_outcomes: Vec<ExploreOutcome>,
+    fold: UirFold,
     epochs: Vec<u64>,
-    online_seconds: f64,
 }
 
 /// A completed session, with the service-side provenance the per-session
@@ -199,6 +202,10 @@ impl ServiceStats {
     }
 }
 
+/// A routed-group registration queued by the builder: group name,
+/// registry, router, and the group's full-space eval rows.
+type RoutedSpec = (String, Arc<PipelineRegistry>, Router, Vec<Vec<f64>>);
+
 /// Builds a [`ScoringService`] without constructor creep: worker count,
 /// admission capacity, plain shards, and routed shard groups all in one
 /// place.
@@ -222,10 +229,6 @@ impl ServiceStats {
 ///         .build()
 /// }
 /// ```
-/// A routed-group registration queued by the builder: group name,
-/// registry, router, and the group's full-space eval rows.
-type RoutedSpec = (String, Arc<PipelineRegistry>, Router, Vec<Vec<f64>>);
-
 #[derive(Debug)]
 pub struct ScoringServiceBuilder {
     workers: usize,
@@ -331,22 +334,6 @@ impl ScoringService {
         ScoringServiceBuilder::default()
     }
 
-    /// A service with unbounded admission: every submitted session joins
-    /// the next tick's batch. Shim over [`ScoringService::builder`].
-    pub fn new(workers: usize) -> Self {
-        Self::builder().workers(workers).build()
-    }
-
-    /// A service admitting at most `max_active` concurrent sessions;
-    /// further submissions park (FIFO) without occupying a worker. Shim
-    /// over [`ScoringService::builder`].
-    pub fn with_capacity(workers: usize, max_active: usize) -> Self {
-        Self::builder()
-            .workers(workers)
-            .capacity(max_active)
-            .build()
-    }
-
     /// The worker count in force.
     pub fn workers(&self) -> usize {
         self.workers
@@ -367,12 +354,11 @@ impl ScoringService {
             self.shard_index(name).is_none(),
             "shard {name:?} already registered"
         );
-        let n_subspaces = pipeline.subspaces().len();
         self.shards.push(Shard {
             name: name.to_string(),
+            subspaces: pipeline.subspaces().to_vec(),
             cell: Arc::new(SwapCell::new(pipeline)),
             eval_rows,
-            n_subspaces,
             cache: None,
         });
         self.shards.len() - 1
@@ -456,7 +442,7 @@ impl ScoringService {
     ///
     /// # Panics
     /// Panics when the shard name is unknown or the request's ground truth
-    /// does not have one region per shard subspace.
+    /// does not have one region per shard subspace, in the shard's order.
     pub fn submit(&mut self, shard: &str, request: SessionRequest) -> AdmissionState {
         let shard = self
             .shard_index(shard)
@@ -498,10 +484,11 @@ impl ScoringService {
         request: SessionRequest,
         routing: Option<RoutingDecision>,
     ) -> AdmissionState {
-        assert_eq!(
-            request.truth.parts().len(),
-            self.shards[shard].n_subspaces,
-            "one ground-truth region per shard subspace required"
+        assert!(
+            request
+                .truth
+                .matches_subspaces(&self.shards[shard].subspaces),
+            "one ground-truth region per shard subspace required, in shard order"
         );
         let pending = PendingSession {
             shard,
@@ -569,11 +556,8 @@ impl ScoringService {
                 submit_tick: p.submit_tick,
                 admitted_tick: tick,
                 round: 0,
-                uir_pred: vec![true; rows],
-                per_subspace_f1: Vec::new(),
-                subspace_outcomes: Vec::new(),
+                fold: UirFold::new(rows),
                 epochs: Vec::new(),
-                online_seconds: 0.0,
             });
         }
         self.stats.peak_active = self.stats.peak_active.max(self.active.len());
@@ -591,8 +575,8 @@ impl ScoringService {
             let (pipeline, epoch) = shard.cell.load();
             if shard.cache.as_ref().map(|c| c.epoch) != Some(epoch) {
                 assert_eq!(
-                    pipeline.subspaces().len(),
-                    shard.n_subspaces,
+                    pipeline.subspaces(),
+                    &shard.subspaces[..],
                     "hot-swapped pipeline changed the subspace decomposition"
                 );
                 let pool = pipeline.encode_pool(&shard.eval_rows);
@@ -605,6 +589,13 @@ impl ScoringService {
         }
 
         // (3) Prepare one round per active session across the worker pool.
+        // Each session's fold travels with its round into the finish job
+        // and comes back with the round folded in.
+        let folds: Vec<UirFold> = self
+            .active
+            .iter_mut()
+            .map(|s| std::mem::take(&mut s.fold))
+            .collect();
         let active = &self.active;
         let shards = &self.shards;
         let prepared: Vec<(usize, PreparedRound)> =
@@ -613,8 +604,7 @@ impl ScoringService {
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
                 let pipeline = &cache.pipeline;
                 let ctx = &pipeline.contexts()[s.round];
-                let (sub, region) = &s.request.truth.parts()[s.round];
-                debug_assert_eq!(sub, &pipeline.subspaces()[s.round]);
+                let region = &s.request.truth.parts()[s.round].1;
                 let oracle = RegionOracle::new(region.clone());
                 let learner = match s.request.variant {
                     Variant::Basic => None,
@@ -652,26 +642,28 @@ impl ScoringService {
         let score_seconds = t0.elapsed().as_secs_f64();
         drop(requests);
 
-        // (5) Finish each round (predictions + Meta* revision) in
+        // (5) Finish each round (predictions + Meta* revision) and fold it,
+        // graded against its ground-truth region, into the session — in
         // parallel. The measured scoring time is attributed per session by
         // its share of the fused rows — a report-only split; outcomes
         // never depend on it.
-        let finish_jobs: Vec<(usize, PreparedRound, Vec<f64>, f64)> = prepared
+        let finish_jobs: Vec<(usize, PreparedRound, Vec<f64>, f64, UirFold)> = prepared
             .into_iter()
             .zip(scores)
-            .map(|((idx, p), s_scores)| {
+            .zip(folds)
+            .map(|(((idx, p), s_scores), fold)| {
                 let share = if fused_rows > 0 {
                     score_seconds * s_scores.len() as f64 / fused_rows as f64
                 } else {
                     0.0
                 };
-                (idx, p, s_scores, share)
+                (idx, p, s_scores, share, fold)
             })
             .collect();
-        let finished: Vec<(usize, ExploreOutcome)> = parallel_map(
+        let finished: Vec<UirFold> = parallel_map(
             finish_jobs,
             self.workers,
-            move |(idx, p, s_scores, share)| {
+            move |(idx, p, s_scores, share, mut fold)| {
                 let s = &active[idx];
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
                 let pipeline = &cache.pipeline;
@@ -684,31 +676,18 @@ impl ScoringService {
                     s.request.variant,
                     share,
                 );
-                (idx, outcome)
+                let region = &s.request.truth.parts()[s.round].1;
+                fold.push(outcome, region, cache.pool.proj(s.round));
+                fold
             },
         );
 
-        // Serial bookkeeping: fold each round into its session.
+        // Serial bookkeeping: O(1) per session.
         let shards = &self.shards;
-        for (idx, outcome) in finished {
-            let s = &mut self.active[idx];
+        for (s, fold) in self.active.iter_mut().zip(finished) {
             let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
-            let round = s.round;
-            let (_, region) = &s.request.truth.parts()[round];
-            let sub_confusion = ConfusionMatrix::from_pairs(
-                outcome
-                    .predictions
-                    .iter()
-                    .zip(cache.pool.proj(round))
-                    .map(|(&pred, row)| (pred, region.contains(row))),
-            );
-            s.per_subspace_f1.push(sub_confusion.f1());
-            for (pred, &sub_pred) in s.uir_pred.iter_mut().zip(&outcome.predictions) {
-                *pred &= sub_pred;
-            }
-            s.online_seconds += outcome.online_seconds;
+            s.fold = fold;
             s.epochs.push(cache.epoch);
-            s.subspace_outcomes.push(outcome);
             s.round += 1;
         }
 
@@ -717,28 +696,15 @@ impl ScoringService {
         let mut still_active = Vec::with_capacity(self.active.len());
         for s in std::mem::take(&mut self.active) {
             let shard = &shards[s.shard];
-            if s.round < shard.n_subspaces {
+            if s.round < shard.subspaces.len() {
                 still_active.push(s);
                 continue;
             }
             let cache = shard.cache.as_ref().expect("cache refreshed");
-            let confusion = ConfusionMatrix::from_pairs(
-                s.uir_pred
-                    .iter()
-                    .zip(&shard.eval_rows)
-                    .map(|(&pred, row)| (pred, s.request.truth.label(row))),
-            );
-            let outcome = UirOutcome {
-                confusion,
-                per_subspace_f1: s.per_subspace_f1,
-                online_seconds: s.online_seconds,
-                labels_used: cache.pipeline.config().budget(),
-                subspace_outcomes: s.subspace_outcomes,
-            };
             self.completed.push(ServiceOutcome {
                 id: s.request.id,
                 shard: s.shard,
-                outcome,
+                outcome: s.fold.finish(cache.pipeline.config().budget()),
                 epochs: s.epochs,
                 submit_seq: s.submit_seq,
                 submit_tick: s.submit_tick,
@@ -860,8 +826,10 @@ impl SessionEngine {
         eval_rows: &[Vec<f64>],
     ) -> (Vec<SessionOutcome>, ThroughputStats) {
         let t0 = Instant::now();
-        let mut service = ScoringService::new(self.workers());
-        service.add_shard("default", self.shared_pipeline(), eval_rows.to_vec());
+        let mut service = ScoringService::builder()
+            .workers(self.workers())
+            .shard("default", self.shared_pipeline(), eval_rows.to_vec())
+            .build();
         for req in requests {
             service.submit("default", req);
         }
@@ -886,6 +854,7 @@ impl SessionEngine {
 mod tests {
     use super::*;
     use lte_core::config::LteConfig;
+    use lte_core::oracle::ConjunctiveOracle;
     use lte_core::uis::UisMode;
     use lte_data::generator::generate_sdss;
     use lte_data::subspace::decompose_sequential;
@@ -906,8 +875,11 @@ mod tests {
         let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
         let requests = engine.simulate_requests(3, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7);
 
-        let mut service = ScoringService::with_capacity(1, 2);
-        service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
+        let mut service = ScoringService::builder()
+            .workers(1)
+            .capacity(2)
+            .shard("sdss", Arc::clone(&pipeline), pool.clone())
+            .build();
         assert_eq!(
             service.submit("sdss", requests[0].clone()),
             AdmissionState::Admitted
@@ -982,8 +954,57 @@ mod tests {
             .simulate_requests(1, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7)
             .pop()
             .unwrap();
-        let mut service = ScoringService::new(1);
-        service.add_shard("sdss", pipeline, pool);
+        let mut service = ScoringService::builder()
+            .workers(1)
+            .shard("sdss", pipeline, pool)
+            .build();
         service.submit("cars", req);
+    }
+
+    #[test]
+    #[should_panic(expected = "one ground-truth region per shard subspace")]
+    fn submitting_a_truth_with_permuted_subspaces_panics() {
+        let (pipeline, pool) = tiny();
+        let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
+        let mut req = engine
+            .simulate_requests(1, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7)
+            .pop()
+            .unwrap();
+        // Same regions, same count — but in the wrong subspace order.
+        let mut parts = req.truth.parts().to_vec();
+        parts.reverse();
+        req.truth = ConjunctiveOracle::new(parts);
+        let mut service = ScoringService::builder()
+            .workers(1)
+            .shard("sdss", pipeline, pool)
+            .build();
+        service.submit("sdss", req);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot-swapped pipeline changed the subspace decomposition")]
+    fn swapping_in_a_different_decomposition_panics() {
+        let (pipeline, pool) = tiny();
+        let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
+        let requests = engine.simulate_requests(1, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7);
+        // The same trained parts with the subspaces permuted: the subspace
+        // count is unchanged, the decomposition is not.
+        fn reversed<T: Clone>(xs: &[T]) -> Vec<T> {
+            xs.iter().rev().cloned().collect()
+        }
+        let permuted = LtePipeline::from_parts(
+            pipeline.config().clone(),
+            reversed(pipeline.subspaces()),
+            reversed(pipeline.contexts()),
+            reversed(pipeline.learners()),
+        );
+        let mut service = ScoringService::builder()
+            .workers(1)
+            .shard("sdss", pipeline, pool)
+            .build();
+        service.submit("sdss", requests[0].clone());
+        service.tick();
+        service.swap_handle(0).swap(Arc::new(permuted));
+        service.tick();
     }
 }

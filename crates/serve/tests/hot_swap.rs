@@ -9,6 +9,7 @@
 
 use lte_core::config::LteConfig;
 use lte_core::explore::{ExploreOutcome, Variant};
+use lte_core::metrics::ConfusionMatrix;
 use lte_core::pipeline::LtePipeline;
 use lte_core::uis::UisMode;
 use lte_data::generator::generate_sdss;
@@ -47,9 +48,11 @@ fn run_swapped(
     eval_rows: &[Vec<f64>],
     workers: usize,
 ) -> Vec<ServiceOutcome> {
-    let mut service = ScoringService::new(workers);
-    let shard = service.add_shard("sdss", Arc::clone(a), eval_rows.to_vec());
-    let handle = service.swap_handle(shard);
+    let mut service = ScoringService::builder()
+        .workers(workers)
+        .shard("sdss", Arc::clone(a), eval_rows.to_vec())
+        .build();
+    let handle = service.swap_handle(0);
     for req in requests {
         service.submit("sdss", req.clone());
     }
@@ -103,6 +106,28 @@ fn swap_under_64_sessions_has_no_torn_rounds_and_is_deterministic() {
             "session {} round 1 diverged from epoch-1 pipeline",
             req.id
         );
+        // Each round's F1 is its epoch's solo round's, bitwise.
+        assert_eq!(
+            got.outcome.per_subspace_f1[0].to_bits(),
+            solo_a.per_subspace_f1[0].to_bits()
+        );
+        assert_eq!(
+            got.outcome.per_subspace_f1[1].to_bits(),
+            solo_b.per_subspace_f1[1].to_bits()
+        );
+        // The folded conjunctive confusion equals an independent
+        // recomputation: both rounds' predictions ANDed, against the
+        // truth's label of each full-space row.
+        let relabelled =
+            ConfusionMatrix::from_pairs(eval_rows.iter().enumerate().map(|(r, row)| {
+                let pred = got
+                    .outcome
+                    .subspace_outcomes
+                    .iter()
+                    .all(|sub| sub.predictions[r]);
+                (pred, req.truth.label(row))
+            }));
+        assert_eq!(got.outcome.confusion, relabelled, "session {}", req.id);
     }
 
     // The same swapped schedule at 4 workers is byte-identical.
@@ -135,9 +160,11 @@ fn concurrent_swapper_never_tears_a_round() {
     let engine = SessionEngine::with_workers(Arc::clone(&a), 1);
     let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 55);
 
-    let mut service = ScoringService::new(2);
-    let shard = service.add_shard("sdss", Arc::clone(&a), eval_rows.clone());
-    let handle = service.swap_handle(shard);
+    let mut service = ScoringService::builder()
+        .workers(2)
+        .shard("sdss", Arc::clone(&a), eval_rows.clone())
+        .build();
+    let handle = service.swap_handle(0);
     for req in requests.clone() {
         service.submit("sdss", req);
     }

@@ -8,6 +8,8 @@
 
 use lte_core::config::{LteConfig, ScoringPrecision};
 use lte_core::explore::Variant;
+use lte_core::metrics::ConfusionMatrix;
+use lte_core::oracle::ConjunctiveOracle;
 use lte_core::pipeline::{LtePipeline, UirOutcome};
 use lte_core::uis::UisMode;
 use lte_data::generator::{generate_car, generate_sdss};
@@ -48,6 +50,20 @@ fn outcome_bytes(o: &UirOutcome) -> Vec<u64> {
         bytes.push(sub.labels_used as u64);
     }
     bytes
+}
+
+/// The conjunctive confusion recomputed without the service's round fold:
+/// every round's predictions ANDed per pool row, against the truth's label
+/// of the full-space row.
+fn relabelled_confusion(
+    o: &UirOutcome,
+    truth: &ConjunctiveOracle,
+    eval_rows: &[Vec<f64>],
+) -> ConfusionMatrix {
+    ConfusionMatrix::from_pairs(eval_rows.iter().enumerate().map(|(r, row)| {
+        let pred = o.subspace_outcomes.iter().all(|sub| sub.predictions[r]);
+        (pred, truth.label(row))
+    }))
 }
 
 /// The service-side provenance plus the outcome — the full byte identity a
@@ -94,8 +110,11 @@ fn service_outcomes_are_identical_at_one_and_four_workers() {
     let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, Variant::MetaStar, 7);
 
     let run = |workers: usize| {
-        let mut service = ScoringService::with_capacity(workers, 3);
-        service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
+        let mut service = ScoringService::builder()
+            .workers(workers)
+            .capacity(3)
+            .shard("sdss", Arc::clone(&pipeline), pool.clone())
+            .build();
         for req in requests.clone() {
             service.submit("sdss", req);
         }
@@ -120,6 +139,52 @@ fn service_outcomes_are_identical_at_one_and_four_workers() {
 }
 
 #[test]
+fn multi_part_truths_fold_to_full_space_labels_at_one_and_four_workers() {
+    let (pipeline, pool) = sdss_setup();
+    let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
+    let requests =
+        engine.simulate_requests(8, UisMode::new(3, 10), 0.2, 0.9, Variant::MetaStar, 31);
+    assert!(
+        requests
+            .iter()
+            .all(|r| r.truth.parts().iter().all(|(_, region)| region.len() == 3)),
+        "every subspace truth is a three-part union"
+    );
+
+    let run = |workers: usize| {
+        let mut service = ScoringService::builder()
+            .workers(workers)
+            .shard("sdss", Arc::clone(&pipeline), pool.clone())
+            .build();
+        for req in requests.clone() {
+            service.submit("sdss", req);
+        }
+        service.run_until_idle();
+        let mut done = service.take_completed();
+        done.sort_by_key(|o| o.id);
+        done
+    };
+    let done_1 = run(1);
+    let done_4 = run(4);
+    assert_eq!(done_1.len(), 8);
+    for ((req, a), b) in requests.iter().zip(&done_1).zip(&done_4) {
+        assert_eq!(req.id, a.id);
+        assert_eq!(
+            service_bytes(a),
+            service_bytes(b),
+            "session {} diverged between 1 and 4 workers",
+            a.id
+        );
+        assert_eq!(
+            a.outcome.confusion,
+            relabelled_confusion(&a.outcome, &req.truth, &pool),
+            "session {}: folded confusion differs from the full-space labels",
+            a.id
+        );
+    }
+}
+
+#[test]
 fn ranked_precision_serves_deterministically_across_worker_counts() {
     // `ScoringPrecision::Ranked` flows from the pipeline config straight
     // through the service's fused scoring path (no serve-side switch), so
@@ -137,8 +202,10 @@ fn ranked_precision_serves_deterministically_across_worker_counts() {
     let requests = engine.simulate_requests(6, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 23);
 
     let run = |workers: usize| {
-        let mut service = ScoringService::new(workers);
-        service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
+        let mut service = ScoringService::builder()
+            .workers(workers)
+            .shard("sdss", Arc::clone(&pipeline), pool.clone())
+            .build();
         for req in requests.clone() {
             service.submit("sdss", req);
         }
@@ -165,8 +232,11 @@ fn admission_capacity_never_changes_outcomes() {
     let requests = engine.simulate_requests(7, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 19);
 
     let run = |max_active: usize| {
-        let mut service = ScoringService::with_capacity(1, max_active);
-        service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
+        let mut service = ScoringService::builder()
+            .workers(1)
+            .capacity(max_active)
+            .shard("sdss", Arc::clone(&pipeline), pool.clone())
+            .build();
         for req in requests.clone() {
             service.submit("sdss", req);
         }
@@ -210,9 +280,11 @@ fn sharded_service_matches_each_pipeline_solo() {
 
     // One service, both datasets, submissions interleaved — each tick's
     // fused call spans both shards.
-    let mut service = ScoringService::new(2);
-    service.add_shard("sdss", Arc::clone(&sdss), sdss_pool.clone());
-    service.add_shard("car", Arc::clone(&car), car_pool.clone());
+    let mut service = ScoringService::builder()
+        .workers(2)
+        .shard("sdss", Arc::clone(&sdss), sdss_pool.clone())
+        .shard("car", Arc::clone(&car), car_pool.clone())
+        .build();
     for (s, c) in sdss_reqs.iter().zip(&car_reqs) {
         service.submit("sdss", s.clone());
         service.submit("car", c.clone());
