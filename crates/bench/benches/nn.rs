@@ -1,6 +1,6 @@
 //! Micro-benchmark: the UIS classifier's forward/backward passes (§VI-A) at
-//! paper-scale widths (ku=100, Ne=100), pool scoring at serving scale
-//! across the precision ladder, and the raw matmul kernels under it.
+//! paper-scale widths (ku=100, Ne=100), pool scoring at serving scale at
+//! both precisions, and the raw matmul kernels under it.
 //!
 //! For machine-readable numbers (the committed `BENCH_pool_scoring.json`
 //! snapshot), use `cargo run --release -p lte-bench --bin pool_scoring`
@@ -9,8 +9,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lte_core::classifier::{ClassifierConfig, Grads, UisClassifier};
 use lte_core::config::ScoringPrecision;
+use lte_core::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
-use lte_nn::{matmul_nt_ranked, Activation, Epilogue, Matrix, Matrix32};
+use lte_nn::{Activation, Epilogue, Matrix, Matrix32};
 use std::hint::black_box;
 
 fn bench_nn(c: &mut Criterion) {
@@ -44,8 +45,8 @@ fn bench_nn(c: &mut Criterion) {
 /// (one `logit` call per tuple, with its forward-cache allocations); the
 /// batched pass is what `explore_subspace` now runs. The batch form must be
 /// at least ~2× faster here — it agrees with the per-point logits to within
-/// rounding (the conversion split regroups one sum; see
-/// `UisClassifier::logits_batch`), so the win is overhead removal plus the
+/// rounding (the conversion split regroups one sum; see the classifier's
+/// `Scorer` impl), so the win is overhead removal plus the
 /// 8-column matmul kernel, never different predictions.
 fn bench_pool_scoring(c: &mut Criterion) {
     let cfg = ClassifierConfig {
@@ -76,16 +77,20 @@ fn bench_pool_scoring(c: &mut Criterion) {
         });
     });
 
+    let score = |precision| {
+        clf.score(&ScoreRequest::new(
+            black_box(&v_r),
+            black_box(&pool),
+            precision,
+        ))[0]
+    };
+
     c.bench_function("pool_scoring_batched_4096x64", |b| {
-        b.iter(|| clf.logits_batch(black_box(&v_r), black_box(&pool))[0]);
+        b.iter(|| score(ScoringPrecision::Exact));
     });
 
     c.bench_function("pool_scoring_f32_4096x64", |b| {
-        b.iter(|| clf.score_pool(black_box(&v_r), black_box(&pool), ScoringPrecision::Fast)[0]);
-    });
-
-    c.bench_function("pool_scoring_ranked_i8_4096x64", |b| {
-        b.iter(|| clf.score_pool(black_box(&v_r), black_box(&pool), ScoringPrecision::Ranked)[0]);
+        b.iter(|| score(ScoringPrecision::Fast));
     });
 }
 
@@ -143,17 +148,6 @@ fn bench_matmul_kernels(c: &mut Criterion) {
             black_box(&a32)
                 .matmul_nt_ep(black_box(&b32), Epilogue::new(&bias, Activation::Relu))
                 .row(0)[0]
-        });
-    });
-
-    c.bench_function("layer_i8_ranked_512x64x64", |bench| {
-        bench.iter(|| {
-            matmul_nt_ranked(
-                black_box(&a32),
-                black_box(&b32),
-                Epilogue::new(&bias, Activation::Relu),
-            )
-            .row(0)[0]
         });
     });
 }

@@ -32,8 +32,10 @@ use std::path::Path;
 const MAGIC: &[u8; 4] = b"LTEP";
 // v1: initial format. v2: OnlineConfig grew the scoring-precision knob
 // (v1 files load with the precision defaulted to `Exact`, the v1-era
-// behavior). v3: the precision byte gained the `Ranked` value (2); v2
-// files still decode with their original two-value alphabet.
+// behavior). v3: the precision byte gained a third value, 2, for the i8
+// `Ranked` mode. That mode has since been removed; writers emit only 0 or
+// 1, and a v3 file carrying 2 loads as `Fast`, which meets Ranked's
+// argmax-order-only contract strictly. In a v2 file 2 stays corruption.
 const MIN_VERSION: u8 = 1;
 const VERSION: u8 = 3;
 
@@ -253,21 +255,11 @@ fn put_config(e: &mut Enc, c: &LteConfig, version: u8) {
     e.usize(c.online.adapt_steps);
     e.f64(c.online.lr);
     e.usize(c.online.basic_steps);
-    // The precision knob exists from v2 on; v1 had no byte here. The
-    // `Ranked` value needs v3: a v2 writer downgrades it to `Fast` (the
-    // nearest mode v2 readers understand — still a reduced-precision
-    // ranking path), mirroring how v1 drops the knob entirely.
+    // The precision knob exists from v2 on; v1 had no byte here.
     if version >= 2 {
         e.u8(match c.online.precision {
             ScoringPrecision::Exact => 0,
             ScoringPrecision::Fast => 1,
-            ScoringPrecision::Ranked => {
-                if version >= 3 {
-                    2
-                } else {
-                    1
-                }
-            }
         });
     }
     // EncoderConfig
@@ -331,14 +323,13 @@ fn get_config(d: &mut Dec, version: u8) -> Result<LteConfig, PersistError> {
         lr: d.f64()?,
         basic_steps: d.usize()?,
         // v1 predates the precision knob: default to `Exact`, the only
-        // behavior v1 files could have been written under. The `Ranked`
-        // value (2) is part of the v3 alphabet only — in a v2 file it is
-        // corruption, not a mode.
+        // behavior v1 files could have been written under. Value 2 exists
+        // in the v3 alphabet only (see `VERSION`).
         precision: if version >= 2 {
             match d.u8()? {
                 0 => ScoringPrecision::Exact,
                 1 => ScoringPrecision::Fast,
-                2 if version >= 3 => ScoringPrecision::Ranked,
+                2 if version >= 3 => ScoringPrecision::Fast,
                 _ => return Err(PersistError::Corrupt("unknown scoring precision")),
             }
         } else {
@@ -766,23 +757,30 @@ mod tests {
         assert!(msg.contains('1') && msg.contains('3'), "{msg}");
     }
 
-    /// LTEP v3 carries `ScoringPrecision::Ranked`; the round trip must
-    /// preserve it exactly.
-    #[test]
-    fn v3_round_trips_ranked_precision() {
-        let (mut p, _) = trained_pipeline();
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Ranked;
-        p.set_online(online);
-        let bytes = pipeline_to_bytes(&p);
-        assert_eq!(bytes[4], 3, "version byte");
-        let loaded = pipeline_from_bytes(&bytes).expect("v3 must load");
-        assert_eq!(loaded.config().online.precision, ScoringPrecision::Ranked);
+    /// Offset of the precision byte in `version`-format bytes of `p`, and
+    /// the Exact encoding to forge from. The byte sits at a fixed offset
+    /// only relative to the config block, so find it by diffing the Exact
+    /// and Fast encodings of the same pipeline.
+    fn precision_byte(p: &mut LtePipeline, version: u8) -> (usize, Vec<u8>) {
+        let mut encode = |precision| {
+            let mut online = p.config().online.clone();
+            online.precision = precision;
+            p.set_online(online);
+            pipeline_to_bytes_versioned(p, version)
+        };
+        let exact = encode(ScoringPrecision::Exact);
+        let fast = encode(ScoringPrecision::Fast);
+        let idx = exact
+            .iter()
+            .zip(&fast)
+            .position(|(a, b)| a != b)
+            .expect("encodings must differ at the precision byte");
+        (idx, exact)
     }
 
     /// v2 files keep their prior semantics under a v3 reader: the
     /// two-value precision alphabet decodes unchanged, and the value `2`
-    /// (v3's `Ranked`) is corruption in a v2 file, not a mode.
+    /// (v3-only) is corruption in a v2 file, not a mode.
     #[test]
     fn v2_file_loads_with_prior_semantics() {
         let (mut p, _) = trained_pipeline();
@@ -794,28 +792,28 @@ mod tests {
         let loaded = pipeline_from_bytes(&v2).expect("v2 must load");
         assert_eq!(loaded.config().online.precision, ScoringPrecision::Fast);
 
-        // A v2 writer cannot represent Ranked: it downgrades to Fast.
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Ranked;
-        p.set_online(online);
-        let v2_ranked = pipeline_to_bytes_versioned(&p, 2);
-        let loaded = pipeline_from_bytes(&v2_ranked).expect("v2 must load");
+        // A literal 2 in a v2 precision byte is refused.
+        let (idx, mut forged) = precision_byte(&mut p, 2);
+        forged[idx] = 2;
+        assert_eq!(
+            pipeline_from_bytes(&forged).unwrap_err(),
+            PersistError::Corrupt("unknown scoring precision")
+        );
+    }
+
+    /// A v3 precision byte of 2 (written by builds that had the i8 mode)
+    /// loads as `Fast`; 3 was never a mode and is corruption.
+    #[test]
+    fn v3_precision_byte_two_loads_as_fast() {
+        let (mut p, _) = trained_pipeline();
+        let (idx, mut forged) = precision_byte(&mut p, 3);
+        assert_eq!(forged[4], 3, "version byte");
+        assert_eq!(forged[idx], 0, "Exact encodes as 0");
+        forged[idx] = 2;
+        let loaded = pipeline_from_bytes(&forged).expect("v3 byte 2 must load");
         assert_eq!(loaded.config().online.precision, ScoringPrecision::Fast);
 
-        // And a literal 2 in a v2 precision byte is refused. The byte sits
-        // at a fixed offset only relative to the config block, so find it
-        // by diffing the Exact and Fast encodings of the same pipeline.
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Exact;
-        p.set_online(online);
-        let v2_exact = pipeline_to_bytes_versioned(&p, 2);
-        let idx = v2_exact
-            .iter()
-            .zip(&v2)
-            .position(|(a, b)| a != b)
-            .expect("encodings must differ at the precision byte");
-        let mut forged = v2_exact.clone();
-        forged[idx] = 2;
+        forged[idx] = 3;
         assert_eq!(
             pipeline_from_bytes(&forged).unwrap_err(),
             PersistError::Corrupt("unknown scoring precision")

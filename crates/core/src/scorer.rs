@@ -1,19 +1,15 @@
-//! The unified scoring surface: one trait, one request type, one fused
+//! The scoring surface: one trait, one request type, one fused
 //! dispatcher.
 //!
-//! Historically pool scoring had three entry points on
-//! [`UisClassifier`](crate::classifier::UisClassifier) —
-//! `logits_batch` (exact), `score_pool` (precision-dispatched) and the free
-//! `score_pool_fused_with` (cross-session batch) — each re-implementing the
-//! same block-cutting and parallel-threshold logic. The router, the fused
-//! serving path, and the per-session engine now all speak [`Scorer`] /
-//! [`ScoreRequest`]; the old entry points remain as thin shims so existing
-//! callers keep working (see `classifier.rs`).
+//! Every pool-scoring caller — the per-session explore loop, the fused
+//! serving tick and the benches — speaks [`Scorer`] / [`ScoreRequest`]:
+//! [`Scorer::score`] for one pool, [`score_fused_with`] for many sessions'
+//! pools in one batch. The block-cutting and parallel-threshold policy
+//! lives here once.
 //!
 //! Determinism contract: every method here maps each pool row independently
 //! of its block, so outputs are **bit-identical at any worker count** — the
-//! same invariant the serving determinism suite pins for the legacy entry
-//! points.
+//! invariant the serving determinism suite pins.
 
 use crate::config::ScoringPrecision;
 use crate::parallel;
@@ -96,11 +92,6 @@ pub struct FusedRequest<'a> {
     pub request: ScoreRequest<'a>,
 }
 
-/// [`score_fused_with`] at the default worker count.
-pub fn score_fused(requests: &[FusedRequest<'_>]) -> Vec<Vec<f64>> {
-    score_fused_with(requests, parallel::default_threads())
-}
-
 /// Score many sessions' pools as **one fused batch** over the shared
 /// worker pool, returning one logit vector per request (in request order).
 ///
@@ -167,21 +158,6 @@ mod tests {
                     .collect()
             })
             .collect()
-    }
-
-    #[test]
-    fn trait_surface_matches_legacy_entry_points() {
-        let c = classifier(0);
-        let v_r = vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
-        let rows = pool(37, 1);
-        for precision in [ScoringPrecision::Exact, ScoringPrecision::Fast] {
-            let via_trait = c.score(&ScoreRequest::new(&v_r, &rows, precision));
-            let via_legacy = c.score_pool(&v_r, &rows, precision);
-            assert_eq!(via_trait.len(), via_legacy.len());
-            for (a, b) in via_trait.iter().zip(&via_legacy) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! The per-session engine ([`SessionEngine::run_sessions`]) runs each
 //! session end to end on one worker: every round re-encodes the retrieval
-//! pool and issues its own small `score_pool` call. At serving scale (64+
-//! concurrent sessions over the same pool) that shape wastes the batch
-//! structure twice — the pool is projected and encoded once *per session
-//! per round*, and the matmul-heavy scoring runs as many narrow calls
-//! instead of one wide one.
+//! pool and issues its own small
+//! [`Scorer::score`](lte_core::scorer::Scorer::score) call. At serving
+//! scale (64+ concurrent sessions over the same pool) that shape wastes
+//! the batch structure twice — the pool is projected and encoded once *per
+//! session per round*, and the matmul-heavy scoring runs as many narrow
+//! calls instead of one wide one.
 //!
 //! The service inverts the loop. Time advances in **ticks**; each tick:
 //!
@@ -21,7 +22,7 @@
 //!    session ([`lte_core::explore::prepare_round`]) across the worker
 //!    pool.
 //! 4. **score** — fuse every session's pool-scoring request into a single
-//!    [`lte_core::classifier::score_pool_fused_with`] call. Scores are
+//!    [`lte_core::scorer::score_fused_with`] call. Scores are
 //!    bit-identical to the per-session calls (row independence), so fusing
 //!    is invisible to outcomes.
 //! 5. **finish** — predictions and `Meta*` revision
@@ -45,12 +46,12 @@ use crate::admission::{AdmissionQueue, AdmissionState};
 use crate::engine::{SessionEngine, SessionOutcome, SessionRequest};
 use crate::stats::ThroughputStats;
 use crate::swap::SwapCell;
-use lte_core::classifier::{score_pool_fused_with, PoolScoreRequest};
 use lte_core::explore::{finish_round, prepare_round, PreparedRound, Variant};
 use lte_core::oracle::RegionOracle;
 use lte_core::parallel::{default_threads, parallel_map};
 use lte_core::pipeline::{EncodedPool, LtePipeline, UirFold, UirOutcome};
 use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
+use lte_core::scorer::{score_fused_with, FusedRequest, ScoreRequest};
 use lte_data::rng::derive_seed;
 use lte_data::subspace::Subspace;
 use std::sync::Arc;
@@ -622,23 +623,25 @@ impl ScoringService {
             });
 
         // (4) One fused scoring call for every session's pool request.
-        let requests: Vec<PoolScoreRequest<'_>> = prepared
+        let requests: Vec<FusedRequest<'_>> = prepared
             .iter()
             .map(|(idx, p)| {
                 let s = &active[*idx];
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
-                PoolScoreRequest {
-                    classifier: &p.classifier,
-                    v_r: &p.v_r,
-                    rows: cache.pool.encoded(s.round),
-                    precision: cache.pipeline.config().online.precision,
+                FusedRequest {
+                    scorer: &p.classifier,
+                    request: ScoreRequest::new(
+                        &p.v_r,
+                        cache.pool.encoded(s.round),
+                        cache.pipeline.config().online.precision,
+                    ),
                 }
             })
             .collect();
         let fused_requests = requests.len();
-        let fused_rows: usize = requests.iter().map(|r| r.rows.len()).sum();
+        let fused_rows: usize = requests.iter().map(|r| r.request.rows.len()).sum();
         let t0 = Instant::now();
-        let scores = score_pool_fused_with(&requests, self.workers);
+        let scores = score_fused_with(&requests, self.workers);
         let score_seconds = t0.elapsed().as_secs_f64();
         drop(requests);
 

@@ -185,16 +185,17 @@ fn multi_part_truths_fold_to_full_space_labels_at_one_and_four_workers() {
 }
 
 #[test]
-fn ranked_precision_serves_deterministically_across_worker_counts() {
-    // `ScoringPrecision::Ranked` flows from the pipeline config straight
+fn fast_precision_serves_deterministically_across_worker_counts() {
+    // `ScoringPrecision::Fast` flows from the pipeline config straight
     // through the service's fused scoring path (no serve-side switch), so
-    // the worker-sweep determinism contract must hold for it too.
+    // the worker-sweep determinism contract and fused == per-session must
+    // hold for it too.
     let table = generate_sdss(3000, 0);
     let pool: Vec<Vec<f64>> = (0..300).map(|i| table.row(i).unwrap()).collect();
     let mut cfg = LteConfig::reduced();
     cfg.train.n_tasks = 60;
     cfg.train.epochs = 1;
-    cfg.online.precision = ScoringPrecision::Ranked;
+    cfg.online.precision = ScoringPrecision::Fast;
     let (pipeline, _) = LtePipeline::offline(&table, decompose_sequential(4, 2), cfg, 11);
     let pipeline = Arc::new(pipeline);
 
@@ -210,16 +211,27 @@ fn ranked_precision_serves_deterministically_across_worker_counts() {
             service.submit("sdss", req);
         }
         service.run_until_idle();
-        service.take_completed()
+        let mut done = service.take_completed();
+        done.sort_by_key(|o| o.id);
+        done
     };
     let done_1 = run(1);
     let done_4 = run(4);
+    let solo = engine.run_sessions(requests.clone(), &pool);
     assert_eq!(done_1.len(), 6);
-    for (a, b) in done_1.iter().zip(&done_4) {
+    assert_eq!(solo.len(), 6);
+    for ((a, b), s) in done_1.iter().zip(&done_4).zip(&solo) {
         assert_eq!(
             service_bytes(a),
             service_bytes(b),
-            "ranked session {} diverged between 1 and 4 workers",
+            "fast session {} diverged between 1 and 4 workers",
+            a.id
+        );
+        assert_eq!(a.id, s.id);
+        assert_eq!(
+            outcome_bytes(&a.outcome),
+            outcome_bytes(&s.outcome),
+            "fast session {} diverged between the service and run_sessions",
             a.id
         );
     }
