@@ -1,13 +1,14 @@
-//! Micro-benchmark: the UIS classifier's forward/backward passes (§VI-A) at
-//! paper-scale widths (ku=100, Ne=100), pool scoring at serving scale at
-//! both precisions, and the raw matmul kernels under it.
+//! Micro-benchmark: the UIS classifier's forward/backward passes (§VI-A)
+//! and its fused per-sample SGD step (Eq. 12) at paper-scale widths
+//! (ku=100, Ne=100), pool scoring at serving scale at both precisions, and
+//! the raw matmul kernels under it.
 //!
 //! For machine-readable numbers (the committed `BENCH_pool_scoring.json`
 //! snapshot), use `cargo run --release -p lte-bench --bin pool_scoring`
 //! instead — vendored criterion has no JSON output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lte_core::classifier::{ClassifierConfig, Grads, UisClassifier};
+use lte_core::classifier::{ClassifierConfig, Grads, SgdWorkspace, UisClassifier};
 use lte_core::config::ScoringPrecision;
 use lte_core::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
@@ -28,7 +29,7 @@ fn bench_nn(c: &mut Criterion) {
     let v_t: Vec<f64> = (0..24).map(|i| 0.05 * i as f64).collect();
 
     c.bench_function("classifier_forward_ku100_ne100", |b| {
-        b.iter(|| clf.forward(black_box(&v_r), black_box(&v_t)).logit);
+        b.iter(|| clf.forward(black_box(&v_r), black_box(&v_t)).logit());
     });
 
     c.bench_function("classifier_forward_backward", |b| {
@@ -36,6 +37,24 @@ fn bench_nn(c: &mut Criterion) {
             let mut grads = Grads::zeros_like(&clf);
             clf.loss_backward(black_box(&v_r), black_box(&(v_t.clone(), true)), &mut grads);
             grads.g_clf[0]
+        });
+    });
+
+    // The adaptation hot path: forward, BCE and the backward pass with the
+    // SGD update fused into it, through a warm workspace (no allocation).
+    c.bench_function("classifier_sgd_step", |b| {
+        let mut learner = clf.clone();
+        let mut ws = SgdWorkspace::default();
+        let example = (v_t.clone(), true);
+        b.iter(|| {
+            learner.sgd_example(
+                black_box(&v_r),
+                black_box(&example),
+                1.0,
+                0.01,
+                &mut ws,
+                None,
+            )
         });
     });
 }

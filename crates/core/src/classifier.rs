@@ -49,15 +49,34 @@ impl ClassifierConfig {
 /// One labeled training example: encoded tuple features plus label.
 pub type Example = (Vec<f64>, bool);
 
-/// Forward-pass cache for backprop.
-pub struct ForwardCache {
-    r_cache: MlpCache,
-    t_cache: MlpCache,
+/// Reusable buffers of one per-sample SGD run: the forward caches of the
+/// three blocks, the concatenation `[embR | embτ]`, the converted vector
+/// `Mcp·[embR | embτ]`, and the backward gradients at the classification
+/// input and at the concatenation. Create one per adaptation or training
+/// run; after its first pass, [`UisClassifier::sgd_example`] and
+/// [`UisClassifier::loss_backward_into`] allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SgdWorkspace {
+    r: MlpCache,
+    t: MlpCache,
+    clf: MlpCache,
     concat: Vec<f64>,
-    converted: Option<Vec<f64>>,
-    clf_cache: MlpCache,
-    /// The produced logit.
-    pub logit: f64,
+    /// `Mcp·concat` (conversion only).
+    z: Vec<f64>,
+    /// `dL/d(classification input)`.
+    dz: Vec<f64>,
+    /// `dL/d(concat)` (conversion only; without it, that is `dz`).
+    dx: Vec<f64>,
+}
+
+impl SgdWorkspace {
+    /// The logit of the last forward pass run through this workspace.
+    ///
+    /// # Panics
+    /// Panics when no forward pass has been run through it.
+    pub fn logit(&self) -> f64 {
+        self.clf.output()[0]
+    }
 }
 
 /// Parameter gradients of one backward pass, grouped per block.
@@ -73,6 +92,16 @@ pub struct Grads {
 }
 
 impl Grads {
+    /// Reset every gradient to zero in place.
+    pub fn zero(&mut self) {
+        self.g_r.fill(0.0);
+        self.g_t.fill(0.0);
+        self.g_clf.fill(0.0);
+        if let Some(m) = &mut self.g_conv {
+            m.data_mut().fill(0.0);
+        }
+    }
+
     /// Zeroed gradients matching a classifier's shapes.
     pub fn zeros_like(c: &UisClassifier) -> Self {
         Self {
@@ -172,41 +201,45 @@ impl UisClassifier {
         &self.cfg
     }
 
-    /// Forward pass producing the interestingness logit.
+    /// Forward pass producing the interestingness logit, returned in a
+    /// fresh workspace (see [`UisClassifier::forward_into`]).
     ///
     /// # Panics
     /// Panics when input widths disagree with the architecture.
-    pub fn forward(&self, v_r: &[f64], v_t: &[f64]) -> ForwardCache {
+    pub fn forward(&self, v_r: &[f64], v_t: &[f64]) -> SgdWorkspace {
+        let mut ws = SgdWorkspace::default();
+        self.forward_into(v_r, v_t, &mut ws);
+        ws
+    }
+
+    /// Forward pass through a reusable workspace, keeping the state the
+    /// backward passes need; returns the logit.
+    ///
+    /// # Panics
+    /// Panics when input widths disagree with the architecture.
+    pub fn forward_into(&self, v_r: &[f64], v_t: &[f64], ws: &mut SgdWorkspace) -> f64 {
         assert_eq!(v_r.len(), self.cfg.ku, "vR width mismatch");
         assert_eq!(v_t.len(), self.cfg.nr, "vτ width mismatch");
-        let r_cache = self.r_block.forward_cache(v_r);
-        let t_cache = self.t_block.forward_cache(v_t);
-        let mut concat = Vec::with_capacity(2 * self.cfg.ne);
-        concat.extend_from_slice(r_cache.output());
-        concat.extend_from_slice(t_cache.output());
-
-        let (clf_in, converted) = match &self.conversion {
+        self.r_block.forward_into(v_r, &mut ws.r);
+        self.t_block.forward_into(v_t, &mut ws.t);
+        ws.concat.clear();
+        ws.concat.extend_from_slice(ws.r.output());
+        ws.concat.extend_from_slice(ws.t.output());
+        let clf_in = match &self.conversion {
             Some(mcp) => {
-                let z = mcp.matvec(&concat);
-                (z.clone(), Some(z))
+                ws.z.resize(mcp.rows(), 0.0);
+                mcp.matvec_into(&ws.concat, &mut ws.z);
+                &ws.z
             }
-            None => (concat.clone(), None),
+            None => &ws.concat,
         };
-        let clf_cache = self.clf_block.forward_cache(&clf_in);
-        let logit = clf_cache.output()[0];
-        ForwardCache {
-            r_cache,
-            t_cache,
-            concat,
-            converted,
-            clf_cache,
-            logit,
-        }
+        self.clf_block.forward_into(clf_in, &mut ws.clf);
+        ws.logit()
     }
 
     /// Convenience: logit only.
     pub fn logit(&self, v_r: &[f64], v_t: &[f64]) -> f64 {
-        self.forward(v_r, v_t).logit
+        self.forward(v_r, v_t).logit()
     }
 
     /// Serial `f64` scoring of one row block (see the `Scorer::score_block`
@@ -295,28 +328,92 @@ impl UisClassifier {
         self.logit(v_r, v_t) > 0.0
     }
 
-    /// Backward pass from `dL/dlogit`, accumulating into `grads`.
-    pub fn backward(&self, cache: &ForwardCache, dlogit: f64, grads: &mut Grads) {
-        let d_clf_in = self
-            .clf_block
-            .backward(&cache.clf_cache, &[dlogit], &mut grads.g_clf);
-
-        let d_concat = match (&self.conversion, &cache.converted) {
-            (Some(mcp), Some(_)) => {
+    /// Backward pass from `dL/dlogit` through the workspace of the
+    /// matching forward pass, accumulating into `grads`.
+    ///
+    /// # Panics
+    /// Panics when `grads` does not match this classifier's shapes.
+    pub fn backward(&self, ws: &mut SgdWorkspace, dlogit: f64, grads: &mut Grads) {
+        ws.dz.resize(self.clf_block.in_dim(), 0.0);
+        self.clf_block
+            .backward_into(&mut ws.clf, &[dlogit], &mut grads.g_clf, Some(&mut ws.dz));
+        let d_concat = match &self.conversion {
+            Some(mcp) => {
                 // z = Mcp·cat: dMcp = d_z ⊗ cat, dcat = Mcpᵀ·d_z.
-                if let Some(gm) = &mut grads.g_conv {
-                    gm.add_outer(&d_clf_in, &cache.concat, 1.0);
-                }
-                mcp.matvec_t(&d_clf_in)
+                let g_conv = grads.g_conv.as_mut().expect("conversion gradient");
+                ws.dx.resize(mcp.cols(), 0.0);
+                mcp.linear_backward(&ws.concat, &ws.dz, g_conv.data_mut(), Some(&mut ws.dx));
+                &ws.dx
             }
-            _ => d_clf_in,
+            None => &ws.dz,
         };
-
         let ne = self.cfg.ne;
         self.r_block
-            .backward(&cache.r_cache, &d_concat[..ne], &mut grads.g_r);
+            .backward_into(&mut ws.r, &d_concat[..ne], &mut grads.g_r, None);
         self.t_block
-            .backward(&cache.t_cache, &d_concat[ne..], &mut grads.g_t);
+            .backward_into(&mut ws.t, &d_concat[ne..], &mut grads.g_t, None);
+    }
+
+    /// One fused per-sample SGD step (Eq. 12): forward, weighted BCE, then
+    /// the backward pass from the classification block through `Mcp` to
+    /// the embedding blocks, each block updating its parameters in place
+    /// (`p -= lr·g`) right after computing its input gradient with the
+    /// pre-update weights. When `acc_r` is given, the θR gradient is also
+    /// added into it. Returns the example's loss.
+    ///
+    /// For `lr ≥ 0` the result is bitwise that of
+    /// [`UisClassifier::loss_backward_weighted`] into zeroed [`Grads`]
+    /// followed by `p -= lr·g` on every block (see
+    /// [`Matrix::linear_sgd`]) — without the gradient buffers.
+    ///
+    /// # Panics
+    /// Panics when input widths disagree with the architecture or `acc_r`
+    /// is not `|θR|` long.
+    pub fn sgd_example(
+        &mut self,
+        v_r: &[f64],
+        example: &Example,
+        pos_weight: f64,
+        lr: f64,
+        ws: &mut SgdWorkspace,
+        acc_r: Option<&mut [f64]>,
+    ) -> f64 {
+        let (loss, dlogit) = self.loss_head(v_r, example, pos_weight, ws);
+        ws.dz.resize(self.clf_block.in_dim(), 0.0);
+        self.clf_block
+            .sgd_backward(&mut ws.clf, &[dlogit], lr, None, Some(&mut ws.dz));
+        let d_concat = match &mut self.conversion {
+            Some(mcp) => {
+                ws.dx.resize(mcp.cols(), 0.0);
+                mcp.linear_sgd(&ws.concat, &ws.dz, lr, None, Some(&mut ws.dx));
+                &ws.dx
+            }
+            None => &ws.dz,
+        };
+        let ne = self.cfg.ne;
+        self.r_block
+            .sgd_backward(&mut ws.r, &d_concat[..ne], lr, acc_r, None);
+        self.t_block
+            .sgd_backward(&mut ws.t, &d_concat[ne..], lr, None, None);
+        loss
+    }
+
+    /// Forward pass plus the weighted BCE head: `(loss, dL/dlogit)`.
+    fn loss_head(
+        &self,
+        v_r: &[f64],
+        example: &Example,
+        pos_weight: f64,
+        ws: &mut SgdWorkspace,
+    ) -> (f64, f64) {
+        let logit = self.forward_into(v_r, &example.0, ws);
+        let target = if example.1 { 1.0 } else { 0.0 };
+        let (mut loss, mut dlogit) = bce_with_logits(logit, target);
+        if example.1 && pos_weight != 1.0 {
+            loss *= pos_weight;
+            dlogit *= pos_weight;
+        }
+        (loss, dlogit)
     }
 
     /// BCE loss and gradient of one example; accumulates into `grads` and
@@ -338,14 +435,22 @@ impl UisClassifier {
         grads: &mut Grads,
         pos_weight: f64,
     ) -> f64 {
-        let cache = self.forward(v_r, &example.0);
-        let target = if example.1 { 1.0 } else { 0.0 };
-        let (mut loss, mut dlogit) = bce_with_logits(cache.logit, target);
-        if example.1 && pos_weight != 1.0 {
-            loss *= pos_weight;
-            dlogit *= pos_weight;
-        }
-        self.backward(&cache, dlogit, grads);
+        let mut ws = SgdWorkspace::default();
+        self.loss_backward_into(v_r, example, pos_weight, &mut ws, grads)
+    }
+
+    /// Allocation-free [`UisClassifier::loss_backward_weighted`] through a
+    /// reusable workspace.
+    pub fn loss_backward_into(
+        &self,
+        v_r: &[f64],
+        example: &Example,
+        pos_weight: f64,
+        ws: &mut SgdWorkspace,
+        grads: &mut Grads,
+    ) -> f64 {
+        let (loss, dlogit) = self.loss_head(v_r, example, pos_weight, ws);
+        self.backward(ws, dlogit, grads);
         loss
     }
 
@@ -359,16 +464,6 @@ impl UisClassifier {
             1.0
         } else {
             (neg as f64 / pos as f64).sqrt().clamp(1.0, 5.0)
-        }
-    }
-
-    /// Apply an SGD step to all blocks (and `Mcp` if present).
-    pub fn sgd_step(&mut self, grads: &Grads, lr: f64) {
-        self.r_block.sgd_step(&grads.g_r, lr);
-        self.t_block.sgd_step(&grads.g_t, lr);
-        self.clf_block.sgd_step(&grads.g_clf, lr);
-        if let (Some(m), Some(g)) = (&mut self.conversion, &grads.g_conv) {
-            m.add_scaled(g, -lr);
         }
     }
 
@@ -389,13 +484,12 @@ impl UisClassifier {
         lr: f64,
         pos_weight: f64,
     ) -> f64 {
+        let mut ws = SgdWorkspace::default();
         let mut last_avg = 0.0;
         for _ in 0..steps {
             let mut total = 0.0;
             for ex in examples {
-                let mut grads = Grads::zeros_like(self);
-                total += self.loss_backward_weighted(v_r, ex, &mut grads, pos_weight);
-                self.sgd_step(&grads, lr);
+                total += self.sgd_example(v_r, ex, pos_weight, lr, &mut ws, None);
             }
             last_avg = total / examples.len().max(1) as f64;
         }
@@ -518,8 +612,8 @@ mod tests {
         assert_eq!(cfg(false).clf_input(), 20);
         let mut rng = seeded(0);
         let c = UisClassifier::new(cfg(true), &mut rng);
-        let cache = c.forward(&[0.0; 8], &[0.0; 6]);
-        assert!(cache.logit.is_finite());
+        let ws = c.forward(&[0.0; 8], &[0.0; 6]);
+        assert!(ws.logit().is_finite());
         assert!(c.conversion.is_some());
         let c = UisClassifier::new(cfg(false), &mut rng);
         assert!(c.conversion.is_none());

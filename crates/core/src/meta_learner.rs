@@ -17,7 +17,7 @@
 //! differentiating through the local steps. This is the standard FOMAML
 //! approximation; DESIGN.md records it as an explicit design decision.
 
-use crate::classifier::{ClassifierConfig, Example, Grads, UisClassifier};
+use crate::classifier::{ClassifierConfig, Example, Grads, SgdWorkspace, UisClassifier};
 use crate::config::{NetConfig, TrainConfig};
 use crate::memory::Memories;
 use crate::meta_task::MetaTask;
@@ -189,19 +189,16 @@ impl MetaLearner {
         c.clf_block.read_params(&self.phi_clf);
 
         // Eq. 12: local SGD on the support set (Mcp updated by backprop too).
+        let mut ws = SgdWorkspace::default();
         let mut grad_r_acc = vec![0.0; self.phi_r.len()];
         let mut n_grads = 0usize;
         let mut support_loss = 0.0;
         for _ in 0..steps {
             support_loss = 0.0;
             for ex in support {
-                let mut grads = Grads::zeros_like(&c);
-                support_loss += c.loss_backward_weighted(v_r, ex, &mut grads, pos_weight);
-                for (acc, g) in grad_r_acc.iter_mut().zip(&grads.g_r) {
-                    *acc += g;
-                }
+                support_loss +=
+                    c.sgd_example(v_r, ex, pos_weight, rho, &mut ws, Some(&mut grad_r_acc));
                 n_grads += 1;
-                c.sgd_step(&grads, rho);
             }
             support_loss /= support.len().max(1) as f64;
         }
@@ -225,21 +222,29 @@ impl MetaLearner {
             epoch_query_loss: Vec::with_capacity(self.cfg.epochs),
             n_tasks: tasks.len(),
         };
+        // Gradient buffers and workspace reused across tasks and batches
+        // (the adapted classifiers share the host's shapes).
+        let mut acc = Grads::zeros_like(&self.host);
+        let mut qg = Grads::zeros_like(&self.host);
+        let mut dg = Grads::zeros_like(&self.host);
+        let mut ws = SgdWorkspace::default();
         for _ in 0..self.cfg.epochs {
             let mut epoch_loss = 0.0;
             let mut n_query = 0usize;
             for batch in tasks.chunks(self.cfg.batch_size.max(1)) {
-                let mut acc = Grads::zeros_like(&self.host);
+                acc.zero();
                 for task in batch {
                     let adapted =
                         self.adapt(&task.v_r, &task.support, self.cfg.local_steps, self.cfg.rho);
 
                     // Query-set gradients at the adapted parameters (the
                     // FOMAML term).
-                    let mut qg = Grads::zeros_like(&adapted.classifier);
+                    qg.zero();
                     let mut qloss = 0.0;
                     for ex in &task.query {
-                        qloss += adapted.classifier.loss_backward(&task.v_r, ex, &mut qg);
+                        qloss += adapted
+                            .classifier
+                            .loss_backward_into(&task.v_r, ex, 1.0, &mut ws, &mut qg);
                     }
                     let q_len = task.query.len().max(1);
                     let w = self.cfg.direct_weight.clamp(0.0, 1.0);
@@ -253,9 +258,10 @@ impl MetaLearner {
                     // (vR, vτ) without any labels.
                     if w > 0.0 {
                         let zero = self.adapt(&task.v_r, &task.support, 0, 0.0);
-                        let mut dg = Grads::zeros_like(&zero.classifier);
+                        dg.zero();
                         for ex in &task.query {
-                            zero.classifier.loss_backward(&task.v_r, ex, &mut dg);
+                            zero.classifier
+                                .loss_backward_into(&task.v_r, ex, 1.0, &mut ws, &mut dg);
                         }
                         dg.scale(w / q_len as f64);
                         acc.add(&dg);

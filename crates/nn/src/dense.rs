@@ -50,11 +50,20 @@ impl Dense {
 
     /// Forward pass: `z = W·x + b`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut z = self.w.matvec(x);
+        let mut z = vec![0.0; self.out_dim()];
+        self.forward_into(x, &mut z);
+        z
+    }
+
+    /// [`Dense::forward`] into a caller-owned buffer (bitwise identical).
+    ///
+    /// # Panics
+    /// Panics when `x.len() != in_dim()` or `z.len() != out_dim()`.
+    pub fn forward_into(&self, x: &[f64], z: &mut [f64]) {
+        self.w.matvec_into(x, z);
         for (zi, bi) in z.iter_mut().zip(&self.b) {
             *zi += bi;
         }
-        z
     }
 
     /// Batched forward pass: `Z = X·Wᵀ + b` with one input tuple per row of
@@ -117,28 +126,58 @@ impl Dense {
     /// `dL/dW` and `dL/db` into the provided flat gradient slice (laid out
     /// `w` row-major then `b`) and returns `dL/dx`.
     pub fn backward(&self, x: &[f64], dz: &[f64], grad: &mut [f64]) -> Vec<f64> {
-        let (rows, cols) = (self.w.rows(), self.w.cols());
-        debug_assert_eq!(x.len(), cols);
-        debug_assert_eq!(dz.len(), rows);
-        debug_assert_eq!(grad.len(), self.param_count());
+        let mut dx = vec![0.0; self.in_dim()];
+        self.backward_into(x, dz, grad, Some(&mut dx));
+        dx
+    }
 
-        // dW[r][c] += dz[r] * x[c]; db[r] += dz[r].
-        for r in 0..rows {
-            let d = dz[r];
-            if d != 0.0 {
-                let row = &mut grad[r * cols..(r + 1) * cols];
-                for (g, &xv) in row.iter_mut().zip(x) {
-                    *g += d * xv;
-                }
+    /// Allocation-free [`Dense::backward`]: gradients accumulated into
+    /// `grad`, and `dL/dx = Wᵀ·dz` written into `dx` only when asked for.
+    ///
+    /// # Panics
+    /// Panics on shape mismatches.
+    pub fn backward_into(&self, x: &[f64], dz: &[f64], grad: &mut [f64], dx: Option<&mut [f64]>) {
+        assert_eq!(grad.len(), self.param_count(), "flat size mismatch");
+        let (g_w, g_b) = grad.split_at_mut(self.w.rows() * self.w.cols());
+        self.w.linear_backward(x, dz, g_w, dx);
+        for (g, &d) in g_b.iter_mut().zip(dz) {
+            *g += d;
+        }
+    }
+
+    /// Fused SGD backward pass: `dL/dx` into `dx` (when asked for) with the
+    /// pre-update weights, then `p -= lr·(0.0 + g)` for every parameter in
+    /// place, also adding each `0.0 + g` into `acc` (flat layout) when
+    /// given. Bitwise [`Dense::backward_into`] on a zeroed gradient followed
+    /// by `p -= lr·g` for `lr ≥ 0`; see [`Matrix::linear_sgd`].
+    ///
+    /// # Panics
+    /// Panics on shape mismatches.
+    pub fn sgd_backward(
+        &mut self,
+        x: &[f64],
+        dz: &[f64],
+        lr: f64,
+        acc: Option<&mut [f64]>,
+        dx: Option<&mut [f64]>,
+    ) {
+        let wn = self.w.rows() * self.w.cols();
+        let (acc_w, mut acc_b) = match acc {
+            Some(acc) => {
+                assert_eq!(acc.len(), self.param_count(), "flat size mismatch");
+                let (w, b) = acc.split_at_mut(wn);
+                (Some(w), Some(b))
             }
+            None => (None, None),
+        };
+        self.w.linear_sgd(x, dz, lr, acc_w, dx);
+        for (r, (b, &d)) in self.b.iter_mut().zip(dz).enumerate() {
+            let g = 0.0 + d;
+            if let Some(acc_b) = acc_b.as_deref_mut() {
+                acc_b[r] += g;
+            }
+            *b -= lr * g;
         }
-        let b_off = rows * cols;
-        for (r, &d) in dz.iter().enumerate() {
-            grad[b_off + r] += d;
-        }
-
-        // dx = Wᵀ·dz.
-        self.w.matvec_t(dz)
     }
 
     /// Copy parameters into a flat slice (`w` row-major then `b`).

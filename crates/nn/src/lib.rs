@@ -8,6 +8,9 @@
 //! what meta-learning *does* require, and what this crate provides, is:
 //!
 //! * exact gradients through fixed dense architectures ([`Mlp::backward`]),
+//!   and the per-sample SGD step of local adaptation (Eq. 12) fused into
+//!   the backward pass over reusable buffers ([`Mlp::sgd_backward`],
+//!   [`MlpCache`]) — bitwise the unfused step, with no allocation per pass,
 //! * parameters as *flat vectors* that can be copied, blended, and updated
 //!   arithmetically — the `θ ⇐ φ − σ·ωR` initialization (Eq. 6), local SGD
 //!   (Eq. 12) and one-step global updates (Eq. 13) are all flat-vector

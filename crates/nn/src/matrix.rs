@@ -104,8 +104,18 @@ impl Matrix {
 
     /// Matrix-vector product `y = A·x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let mut y = vec![0.0; self.rows];
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// [`Matrix::matvec`] into a caller-owned buffer (bitwise identical).
+    ///
+    /// # Panics
+    /// Panics when `x.len() != cols` or `y.len() != rows`.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.rows, "matvec output mismatch");
         for (r, yr) in y.iter_mut().enumerate() {
             let row = self.row(r);
             let mut acc = 0.0;
@@ -114,7 +124,6 @@ impl Matrix {
             }
             *yr = acc;
         }
-        y
     }
 
     /// Transposed matrix-vector product `y = Aᵀ·x` (x has `rows` entries,
@@ -134,6 +143,54 @@ impl Matrix {
         y
     }
 
+    /// Backward pass of the linear map `y = A·x` with the weight gradient
+    /// *accumulated*: `grad += dy ⊗ x` (row-major, like [`Matrix::data`])
+    /// and, when `dx` is given, `dx = Aᵀ·dy` (bitwise [`Matrix::matvec_t`],
+    /// without its allocation).
+    ///
+    /// # Panics
+    /// Panics on shape mismatches.
+    pub fn linear_backward(&self, x: &[f64], dy: &[f64], grad: &mut [f64], dx: Option<&mut [f64]>) {
+        self.assert_linear_shapes(x, dy, &dx);
+        assert_eq!(grad.len(), self.data.len(), "gradient size mismatch");
+        linear_backward_rows(&mut Accumulate { a: self, grad }, x, dy, dx);
+    }
+
+    /// Fused SGD step through `y = A·x`: `dx = Aᵀ·dy` with `A` as it was in
+    /// the forward pass (when `dx` is given), then `A -= lr·(0.0 + dy ⊗ x)`
+    /// in place, also adding each `0.0 + dy[r]·x[c]` into `acc` when given.
+    ///
+    /// For `lr ≥ 0` this is bitwise [`Matrix::linear_backward`] into a
+    /// zeroed gradient followed by `A -= lr·grad`: the literal `0.0 +`
+    /// reproduces the zeroed buffer (a `−0.0` product becomes `+0.0`), and
+    /// the rows both skip (`dy[r] == 0`, a dead unit) would only have
+    /// subtracted `lr·0.0`, which leaves every entry unchanged.
+    ///
+    /// # Panics
+    /// Panics on shape mismatches.
+    pub fn linear_sgd(
+        &mut self,
+        x: &[f64],
+        dy: &[f64],
+        lr: f64,
+        acc: Option<&mut [f64]>,
+        dx: Option<&mut [f64]>,
+    ) {
+        self.assert_linear_shapes(x, dy, &dx);
+        if let Some(acc) = &acc {
+            assert_eq!(acc.len(), self.data.len(), "gradient size mismatch");
+        }
+        linear_backward_rows(&mut Step { a: self, lr, acc }, x, dy, dx);
+    }
+
+    fn assert_linear_shapes(&self, x: &[f64], dy: &[f64], dx: &Option<&mut [f64]>) {
+        assert_eq!(x.len(), self.cols, "backward input width mismatch");
+        assert_eq!(dy.len(), self.rows, "backward output width mismatch");
+        if let Some(dx) = dx {
+            assert_eq!(dx.len(), self.cols, "backward dx width mismatch");
+        }
+    }
+
     /// In-place scale: `A *= s`.
     pub fn scale(&mut self, s: f64) {
         for v in &mut self.data {
@@ -150,24 +207,6 @@ impl Matrix {
         assert_eq!(self.cols, other.cols, "col mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += s * b;
-        }
-    }
-
-    /// Accumulate a scaled outer product: `A += s·(u ⊗ v)` where `u` has
-    /// `rows` entries and `v` has `cols`. This is the attentive memory write
-    /// `M ⇐ η(aR × vᵀ) + (1−η)M` (Eq. 14) after a prior [`Matrix::scale`].
-    pub fn add_outer(&mut self, u: &[f64], v: &[f64], s: f64) {
-        assert_eq!(u.len(), self.rows, "outer row mismatch");
-        assert_eq!(v.len(), self.cols, "outer col mismatch");
-        for (r, &uv) in u.iter().enumerate() {
-            let ur = s * uv;
-            if ur == 0.0 {
-                continue;
-            }
-            let row = self.row_mut(r);
-            for (a, b) in row.iter_mut().zip(v) {
-                *a += ur * b;
-            }
         }
     }
 
@@ -321,6 +360,93 @@ impl Matrix {
     }
 }
 
+/// Consumer of the per-row weight gradients `dy[r]·x` of a linear map's
+/// backward pass: [`Accumulate`] adds them into a gradient buffer, [`Step`]
+/// applies them to the weights as an SGD update.
+trait RowGrad {
+    /// Weight row `r` as it was in the forward pass.
+    fn weights(&self, r: usize) -> &[f64];
+    /// Consume the gradient `d·x` of weight row `r`.
+    fn consume(&mut self, r: usize, d: f64, x: &[f64]);
+}
+
+struct Accumulate<'a> {
+    a: &'a Matrix,
+    grad: &'a mut [f64],
+}
+
+impl RowGrad for Accumulate<'_> {
+    fn weights(&self, r: usize) -> &[f64] {
+        self.a.row(r)
+    }
+
+    fn consume(&mut self, r: usize, d: f64, x: &[f64]) {
+        let cols = x.len();
+        for (g, &xv) in self.grad[r * cols..(r + 1) * cols].iter_mut().zip(x) {
+            *g += d * xv;
+        }
+    }
+}
+
+struct Step<'a> {
+    a: &'a mut Matrix,
+    lr: f64,
+    acc: Option<&'a mut [f64]>,
+}
+
+impl RowGrad for Step<'_> {
+    fn weights(&self, r: usize) -> &[f64] {
+        self.a.row(r)
+    }
+
+    fn consume(&mut self, r: usize, d: f64, x: &[f64]) {
+        let (cols, lr) = (x.len(), self.lr);
+        let row = self.a.row_mut(r);
+        // `0.0 + d·x` is the gradient a zeroed buffer would have held.
+        match self.acc.as_deref_mut() {
+            Some(acc) => {
+                let acc = &mut acc[r * cols..(r + 1) * cols];
+                for ((p, s), &xv) in row.iter_mut().zip(acc).zip(x) {
+                    let g = 0.0 + d * xv;
+                    *s += g;
+                    *p -= lr * g;
+                }
+            }
+            None => {
+                for (p, &xv) in row.iter_mut().zip(x) {
+                    *p -= lr * (0.0 + d * xv);
+                }
+            }
+        }
+    }
+}
+
+/// The one backward traversal of `y = A·x`: for every row with a nonzero
+/// upstream gradient, first `dx += dy[r]·A[r]` (the row as the forward
+/// pass saw it), then the sink's weight gradient. `dx` sums over rows in
+/// index order, exactly as [`Matrix::matvec_t`] does.
+fn linear_backward_rows(
+    sink: &mut impl RowGrad,
+    x: &[f64],
+    dy: &[f64],
+    mut dx: Option<&mut [f64]>,
+) {
+    if let Some(dx) = dx.as_deref_mut() {
+        dx.fill(0.0);
+    }
+    for (r, &d) in dy.iter().enumerate() {
+        if d == 0.0 {
+            continue;
+        }
+        if let Some(dx) = dx.as_deref_mut() {
+            for (y, &a) in dx.iter_mut().zip(sink.weights(r)) {
+                *y += d * a;
+            }
+        }
+        sink.consume(r, d, x);
+    }
+}
+
 /// Dot product of equal-length slices.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -406,10 +532,14 @@ mod tests {
     }
 
     #[test]
-    fn add_outer_accumulates() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_outer(&[1.0, 2.0], &[3.0, 4.0], 0.5);
-        assert_eq!(m.data(), &[1.5, 2.0, 3.0, 4.0]);
+    fn linear_backward_accumulates_outer_product() {
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut grad = vec![1.0; 6];
+        let mut dx = vec![9.0; 3];
+        a.linear_backward(&[1.0, 0.0, -1.0], &[0.5, 2.0], &mut grad, Some(&mut dx));
+        // grad += dy ⊗ x; dx is overwritten with Aᵀ·dy.
+        assert_eq!(grad, [1.5, 1.0, 0.5, 3.0, 1.0, -1.0]);
+        assert_eq!(dx, [8.5, 11.0, 13.5]);
     }
 
     #[test]

@@ -21,22 +21,87 @@ pub struct Mlp {
     acts: Vec<Activation>,
 }
 
-/// Cached intermediate state of one forward pass, needed for backprop.
-#[derive(Debug, Clone)]
+/// Cached intermediate state of one forward pass, needed for backprop,
+/// plus the backward pass's scratch. Reusable: [`Mlp::forward_into`] and
+/// the `*_into` backward passes overwrite it in place, so after its first
+/// use with a network it allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct MlpCache {
-    /// Input to each layer (`inputs[0]` is the network input).
-    inputs: Vec<Vec<f64>>,
+    /// `values[0]` is the network input, `values[i + 1]` the output of
+    /// layer `i` (so the last entry is the network output).
+    values: Vec<Vec<f64>>,
     /// Pre-activation output of each layer.
     pre_acts: Vec<Vec<f64>>,
-    /// Final output (post-activation of the last layer).
-    output: Vec<f64>,
+    /// Backward scratch: `dL/d(pre-activation)` of each layer.
+    deltas: Vec<Vec<f64>>,
 }
 
 impl MlpCache {
     /// The forward output this cache corresponds to.
+    ///
+    /// # Panics
+    /// Panics when no forward pass has been run through the cache.
     pub fn output(&self) -> &[f64] {
-        &self.output
+        self.values.last().expect("no forward pass cached")
     }
+}
+
+/// The one backward traversal of an MLP: walks the layers top-down,
+/// turning each layer's output gradient into its pre-activation gradient
+/// `dz`, and hands `(layer, layer input, dz, dx)` to `layer_backward`,
+/// which consumes the parameter gradient and writes `dx = Wᵀ·dz` — into
+/// the next layer's scratch, or for the first layer into `dx_out` (`None`
+/// skips that product).
+fn backward_layers(
+    acts: &[Activation],
+    cache: &mut MlpCache,
+    grad_out: &[f64],
+    mut dx_out: Option<&mut [f64]>,
+    mut layer_backward: impl FnMut(usize, &[f64], &[f64], Option<&mut [f64]>),
+) {
+    let n = acts.len();
+    let MlpCache {
+        values,
+        pre_acts,
+        deltas,
+    } = cache;
+    assert_eq!(pre_acts.len(), n, "cache is not from this network");
+    assert_eq!(
+        grad_out.len(),
+        pre_acts[n - 1].len(),
+        "output gradient width mismatch"
+    );
+    deltas.resize_with(n, Vec::new);
+    let top = &mut deltas[n - 1];
+    top.clear();
+    top.extend(
+        grad_out
+            .iter()
+            .zip(&pre_acts[n - 1])
+            .map(|(&g, &z)| g * acts[n - 1].derivative(z)),
+    );
+    for i in (0..n).rev() {
+        let (below, here) = deltas.split_at_mut(i);
+        let dx = match below.last_mut() {
+            Some(d) => {
+                d.resize(pre_acts[i - 1].len(), 0.0);
+                Some(d.as_mut_slice())
+            }
+            None => dx_out.take(),
+        };
+        layer_backward(i, &values[i], &here[0], dx);
+        if let Some(d) = below.last_mut() {
+            for (dv, &z) in d.iter_mut().zip(&pre_acts[i - 1]) {
+                *dv *= acts[i - 1].derivative(z);
+            }
+        }
+    }
+}
+
+/// Flat-parameter range of layer `i` (the [`Mlp::write_params`] layout).
+fn layer_range(layers: &[Dense], i: usize) -> std::ops::Range<usize> {
+    let start: usize = layers[..i].iter().map(Dense::param_count).sum();
+    start..start + layers[i].param_count()
 }
 
 impl Mlp {
@@ -195,21 +260,30 @@ impl Mlp {
     /// Forward pass retaining the per-layer state needed by
     /// [`Mlp::backward`].
     pub fn forward_cache(&self, x: &[f64]) -> MlpCache {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_acts = Vec::with_capacity(self.layers.len());
-        let mut cur = x.to_vec();
-        for (layer, act) in self.layers.iter().zip(&self.acts) {
-            inputs.push(cur.clone());
-            let z = layer.forward(&cur);
-            pre_acts.push(z.clone());
-            let mut a = z;
-            act.apply_slice(&mut a);
-            cur = a;
-        }
-        MlpCache {
-            inputs,
-            pre_acts,
-            output: cur,
+        let mut cache = MlpCache::default();
+        self.forward_into(x, &mut cache);
+        cache
+    }
+
+    /// [`Mlp::forward_cache`] into a reusable cache (bitwise identical;
+    /// allocation-free once the cache has seen this network).
+    ///
+    /// # Panics
+    /// Panics when `x.len() != in_dim()`.
+    pub fn forward_into(&self, x: &[f64], cache: &mut MlpCache) {
+        let n = self.layers.len();
+        cache.values.resize_with(n + 1, Vec::new);
+        cache.pre_acts.resize_with(n, Vec::new);
+        cache.values[0].clear();
+        cache.values[0].extend_from_slice(x);
+        for (i, (layer, act)) in self.layers.iter().zip(&self.acts).enumerate() {
+            let pre = &mut cache.pre_acts[i];
+            pre.resize(layer.out_dim(), 0.0);
+            let (done, rest) = cache.values.split_at_mut(i + 1);
+            layer.forward_into(&done[i], pre);
+            let out = &mut rest[0];
+            out.clear();
+            out.extend(pre.iter().map(|&z| act.apply(z)));
         }
     }
 
@@ -220,39 +294,78 @@ impl Mlp {
     /// # Panics
     /// Panics when `grad.len() != param_count()`.
     pub fn backward(&self, cache: &MlpCache, grad_out: &[f64], grad: &mut [f64]) -> Vec<f64> {
-        assert_eq!(grad.len(), self.param_count(), "flat size mismatch");
-        // Per-layer flat offsets.
-        let mut offsets = Vec::with_capacity(self.layers.len());
-        let mut off = 0;
-        for layer in &self.layers {
-            offsets.push(off);
-            off += layer.param_count();
-        }
-
-        let mut dcur = grad_out.to_vec();
-        for i in (0..self.layers.len()).rev() {
-            // Through the activation: dz = da * act'(z).
-            let act = self.acts[i];
-            let pre = &cache.pre_acts[i];
-            let mut dz = dcur;
-            for (d, &z) in dz.iter_mut().zip(pre) {
-                *d *= act.derivative(z);
-            }
-            let layer = &self.layers[i];
-            let n = layer.param_count();
-            let g = &mut grad[offsets[i]..offsets[i] + n];
-            dcur = layer.backward(&cache.inputs[i], &dz, g);
-        }
-        dcur
+        let mut cache = cache.clone();
+        let mut dx = vec![0.0; self.in_dim()];
+        self.backward_into(&mut cache, grad_out, grad, Some(&mut dx));
+        dx
     }
 
-    /// In-place SGD step: `params -= lr · grad`.
-    pub fn sgd_step(&mut self, grad: &[f64], lr: f64) {
-        let mut flat = self.params();
-        for (p, g) in flat.iter_mut().zip(grad) {
-            *p -= lr * g;
+    /// Allocation-free [`Mlp::backward`] through a warm cache: gradients
+    /// accumulated into `grad`, `dL/d(input)` written into `dx` only when
+    /// asked for (skipping the first layer's `Wᵀ·dz` otherwise).
+    ///
+    /// # Panics
+    /// Panics when `grad.len() != param_count()` or the cache holds no
+    /// forward pass of this network.
+    pub fn backward_into(
+        &self,
+        cache: &mut MlpCache,
+        grad_out: &[f64],
+        grad: &mut [f64],
+        dx: Option<&mut [f64]>,
+    ) {
+        assert_eq!(grad.len(), self.param_count(), "flat size mismatch");
+        backward_layers(&self.acts, cache, grad_out, dx, |i, x, dz, dx| {
+            let range = layer_range(&self.layers, i);
+            self.layers[i].backward_into(x, dz, &mut grad[range], dx);
+        });
+    }
+
+    /// Fused SGD backward pass through a warm cache: every layer computes
+    /// its `dx` with its pre-update weights, then updates its parameters in
+    /// place (`p -= lr·(0.0 + g)`, see [`Dense::sgd_backward`]), adding each
+    /// gradient into `acc` (flat layout) when given. Bitwise
+    /// [`Mlp::backward_into`] on a zeroed gradient followed by
+    /// [`Mlp::sgd_step`] for `lr ≥ 0`.
+    ///
+    /// # Panics
+    /// Panics when `acc` is not `param_count()` long or the cache holds no
+    /// forward pass of this network.
+    pub fn sgd_backward(
+        &mut self,
+        cache: &mut MlpCache,
+        grad_out: &[f64],
+        lr: f64,
+        mut acc: Option<&mut [f64]>,
+        dx: Option<&mut [f64]>,
+    ) {
+        if let Some(acc) = &acc {
+            assert_eq!(acc.len(), self.param_count(), "flat size mismatch");
         }
-        self.read_params(&flat);
+        let Mlp { layers, acts } = self;
+        backward_layers(acts, cache, grad_out, dx, |i, x, dz, dx| {
+            let range = layer_range(layers, i);
+            let acc = acc.as_deref_mut().map(|a| &mut a[range]);
+            layers[i].sgd_backward(x, dz, lr, acc, dx);
+        });
+    }
+
+    /// In-place SGD step: `params -= lr · grad` (flat layout).
+    ///
+    /// # Panics
+    /// Panics when `grad.len() != param_count()`.
+    pub fn sgd_step(&mut self, grad: &[f64], lr: f64) {
+        assert_eq!(grad.len(), self.param_count(), "flat size mismatch");
+        let mut grad = grad;
+        for layer in &mut self.layers {
+            for part in [layer.w.data_mut(), layer.b.as_mut_slice()] {
+                let (g, rest) = grad.split_at(part.len());
+                for (p, g) in part.iter_mut().zip(g) {
+                    *p -= lr * g;
+                }
+                grad = rest;
+            }
+        }
     }
 }
 
