@@ -1,7 +1,7 @@
 //! Micro-benchmark: the `lte-serve` session engine driving a batch of
-//! concurrent Meta* sessions over one shared meta-trained pipeline — the
-//! per-batch cost behind the sessions/sec numbers of the `throughput`
-//! experiment binary.
+//! concurrent Meta* sessions over one shared meta-trained pipeline through
+//! the `ScoringService` tick loop — the per-batch cost behind the fused
+//! sessions/sec numbers of the `throughput` experiment binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lte_core::config::LteConfig;

@@ -1,5 +1,5 @@
-//! Serving-throughput comparison: per-session engine vs the fused
-//! cross-session scoring service, writing `BENCH_throughput.json`
+//! Serving-throughput comparison: the single-session reference baseline
+//! vs the fused cross-session scoring service, writing `BENCH_throughput.json`
 //! (see lte_bench::experiments::throughput).
 
 use lte_bench::{cli::Options, env::BenchEnv};

@@ -1,21 +1,25 @@
-//! Serving throughput: per-session engine vs the cross-session batched
-//! [`ScoringService`], with a machine-readable snapshot.
+//! Serving throughput: the single-session reference baseline vs the
+//! cross-session batched [`ScoringService`], with a machine-readable
+//! snapshot.
 //!
 //! Not a paper figure — this measures the ROADMAP's serving north star at
 //! serving scale (64 concurrent Meta* sessions). Three paths over the same
 //! request set:
 //!
-//! 1. **per_session** — [`SessionEngine::run_with_stats`]: each session
-//!    runs end to end on a worker, re-encoding the retrieval pool and
-//!    issuing its own narrow scoring calls,
-//! 2. **fused** — the [`ScoringService`] tick loop: one shard, every
+//! 1. **per_session** — the reference baseline: a `parallel_map` over
+//!    [`LtePipeline::explore`], so each session runs end to end on a
+//!    worker, re-encoding the retrieval pool and issuing its own narrow
+//!    scoring calls — the yardstick the service is measured and checked
+//!    against,
+//! 2. **fused** — the [`ScoringService`] tick loop (the loop
+//!    [`lte_serve::SessionEngine::run_sessions`] wraps): one shard, every
 //!    session admitted immediately, each tick's pool-scoring fused into a
 //!    single wide call and the encoded pool cached per pipeline epoch,
 //! 3. **fused_sharded** — one service serving SDSS *and* CAR concurrently;
 //!    each tick's fused call spans both shards.
 //!
 //! Outcomes are asserted bitwise-equal between (1) and (2) before any
-//! number is reported — the fused path must beat the per-session path on
+//! number is reported — the fused path must beat the reference on
 //! sessions/s *without touching a single output bit*.
 //!
 //! Like `pool_scoring`, this writes a committed snapshot
@@ -27,7 +31,7 @@
 
 use crate::env::BenchEnv;
 use crate::report::{fmt_secs, Report};
-use crate::runner::{build_pipeline, default_threads, eval_pool};
+use crate::runner::{build_pipeline, default_threads, eval_pool, parallel_map};
 use lte_core::explore::Variant;
 use lte_core::pipeline::LtePipeline;
 use lte_data::rng::derive_seed;
@@ -75,7 +79,6 @@ fn run_fused(
         .into_iter()
         .map(|o| SessionOutcome {
             id: o.id,
-            wall_seconds: o.outcome.online_seconds,
             outcome: o.outcome,
         })
         .collect();
@@ -93,7 +96,24 @@ fn run_fused(
     }
 }
 
-/// Run the per-session vs fused comparison and write the snapshot.
+/// Drive `requests` through the single-session reference, one session per
+/// `parallel_map` item.
+fn run_reference(
+    pipeline: &LtePipeline,
+    requests: &[SessionRequest],
+    pool: &[Vec<f64>],
+    workers: usize,
+) -> (Vec<SessionOutcome>, ThroughputStats) {
+    let t0 = Instant::now();
+    let outcomes = parallel_map(requests.to_vec(), workers, |req| SessionOutcome {
+        id: req.id,
+        outcome: pipeline.explore(&req.truth, pool, req.variant, req.seed),
+    });
+    let stats = ThroughputStats::collect(&outcomes, t0.elapsed().as_secs_f64(), workers);
+    (outcomes, stats)
+}
+
+/// Run the reference vs fused comparison and write the snapshot.
 pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
     let workers = default_threads();
     let sessions = if smoke { SMOKE_SESSIONS } else { SESSIONS };
@@ -121,7 +141,7 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
         derive_seed(env.seed, 910),
     );
 
-    let (solo_outcomes, solo) = engine.run_with_stats(requests.clone(), &pool);
+    let (solo_outcomes, solo) = run_reference(&pipeline, &requests, &pool, workers);
     let fused = run_fused(&pipeline, &requests, &pool, workers);
 
     // The fused path is only a throughput optimization: before reporting a

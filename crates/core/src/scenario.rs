@@ -232,10 +232,9 @@ pub fn explore_behavioral(
     variant: Variant,
     seed: u64,
 ) -> BehavioralOutcome {
-    assert_eq!(
-        truth.parts().len(),
-        pipeline.subspaces().len(),
-        "one ground-truth region per subspace required"
+    assert!(
+        truth.matches_subspaces(pipeline.subspaces()),
+        "one ground-truth region per subspace required, in pipeline order"
     );
     let total_rounds = pipeline.subspaces().len();
     let analyst = behavior.instantiate(truth.clone(), total_rounds, seed);
@@ -450,6 +449,27 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits());
             assert!(same_scores, "score streams diverged");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "in pipeline order")]
+    fn behavioral_truth_with_permuted_subspaces_panics() {
+        let (p, table) = tiny_pipeline();
+        let truth = p.generate_truth(UisMode::new(4, 10), 6, 0.25, 0.9);
+        let eval: Vec<Vec<f64>> = (0..50).map(|i| table.row(i).unwrap()).collect();
+        // Same regions, same count — but in the wrong subspace order, so
+        // round `i` would be graded against another subspace's region.
+        let mut parts = truth.parts().to_vec();
+        parts.reverse();
+        let permuted = ConjunctiveOracle::new(parts);
+        explore_behavioral(
+            &p,
+            &permuted,
+            &BehaviorConfig::steady(),
+            &eval,
+            Variant::Meta,
+            9,
+        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The session engine: N concurrent online explorations over one shared
-//! pipeline.
+//! pipeline, served by the [`ScoringService`] tick loop.
 
+use crate::service::ScoringService;
 use crate::stats::ThroughputStats;
 use lte_core::explore::Variant;
 use lte_core::oracle::ConjunctiveOracle;
-use lte_core::parallel::{default_threads, parallel_map};
+use lte_core::parallel::default_threads;
 use lte_core::pipeline::{LtePipeline, UirOutcome};
+use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
 use lte_core::uis::UisMode;
 use lte_data::rng::derive_seed;
 use std::sync::Arc;
@@ -27,17 +29,24 @@ pub struct SessionRequest {
     pub seed: u64,
 }
 
-/// The completed session: the full per-round exploration outcome plus the
-/// engine-side wall-clock.
+/// The completed session: the full per-round exploration outcome.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
     /// The request's identifier.
     pub id: u64,
     /// The conjunctive exploration result (per-subspace rounds inside).
     pub outcome: UirOutcome,
-    /// Wall-clock seconds of the whole session as seen by the engine
-    /// (labelling rounds + prediction, queueing excluded).
-    pub wall_seconds: f64,
+}
+
+/// One completed routed session: the outcome plus the routing decision
+/// that picked its pipeline.
+#[derive(Debug, Clone)]
+pub struct RoutedSession {
+    /// The session result, in the engine's plain shape.
+    pub outcome: SessionOutcome,
+    /// Which registry entry served it, and why (see
+    /// [`RoutingDecision::explanation`]).
+    pub decision: RoutingDecision,
 }
 
 /// A serving engine over one shared, immutable, meta-trained pipeline.
@@ -111,25 +120,56 @@ impl SessionEngine {
             .collect()
     }
 
-    /// Run every session to completion across the worker pool. Outcomes
-    /// come back **in request order** and their contents (predictions,
-    /// scores, confusion, labels) are independent of the worker count;
-    /// only the wall-clock fields vary run to run.
+    /// Run every session to completion through a one-shard
+    /// [`ScoringService`] at this engine's worker count. Outcomes come back
+    /// **in request order**, bit-identical to [`LtePipeline::explore`] on
+    /// each request at any worker count; only the timing fields vary.
     pub fn run_sessions(
         &self,
         requests: Vec<SessionRequest>,
         eval_rows: &[Vec<f64>],
     ) -> Vec<SessionOutcome> {
-        let pipeline = &self.pipeline;
-        parallel_map(requests, self.workers, move |req| {
-            let t0 = Instant::now();
-            let outcome = pipeline.explore(&req.truth, eval_rows, req.variant, req.seed);
-            SessionOutcome {
-                id: req.id,
+        let mut service = ScoringService::builder()
+            .workers(self.workers)
+            .shard("default", self.shared_pipeline(), eval_rows.to_vec())
+            .build();
+        for req in requests {
+            service.submit("default", req);
+        }
+        drain(service).map(|(outcome, _)| outcome).collect()
+    }
+
+    /// Serve every request through a [`PipelineRegistry`]: the router
+    /// picks a pipeline per session (explained in each
+    /// [`RoutedSession::decision`]) and the sessions run through the
+    /// [`ScoringService`] tick loop at this engine's worker count.
+    ///
+    /// The engine's own pipeline is not consulted — the registry is the
+    /// model library — but the worker pool and determinism contract are
+    /// the engine's: outcomes come back in request order, bit-identical at
+    /// any worker count. With a single-entry registry this degenerates to
+    /// [`SessionEngine::run_sessions`] over that entry's pipeline,
+    /// bitwise.
+    pub fn run_sessions_routed(
+        &self,
+        requests: Vec<SessionRequest>,
+        eval_rows: &[Vec<f64>],
+        registry: Arc<PipelineRegistry>,
+        router: Router,
+    ) -> Vec<RoutedSession> {
+        let mut service = ScoringService::builder()
+            .workers(self.workers)
+            .routed_shard("routed", registry, router, eval_rows.to_vec())
+            .build();
+        for req in requests {
+            service.submit_routed("routed", req);
+        }
+        drain(service)
+            .map(|(outcome, decision)| RoutedSession {
                 outcome,
-                wall_seconds: t0.elapsed().as_secs_f64(),
-            }
-        })
+                decision: decision.expect("routed submissions carry a decision"),
+            })
+            .collect()
     }
 
     /// [`SessionEngine::run_sessions`] plus aggregate throughput/latency
@@ -145,6 +185,23 @@ impl SessionEngine {
         let stats = ThroughputStats::collect(&outcomes, wall, self.workers);
         (outcomes, stats)
     }
+}
+
+/// Tick `service` until idle and hand back its sessions in submission
+/// order, each with the routing decision it was submitted under.
+fn drain(
+    mut service: ScoringService,
+) -> impl Iterator<Item = (SessionOutcome, Option<RoutingDecision>)> {
+    service.run_until_idle();
+    let mut done = service.take_completed();
+    done.sort_by_key(|o| o.submit_seq);
+    done.into_iter().map(|o| {
+        let outcome = SessionOutcome {
+            id: o.id,
+            outcome: o.outcome,
+        };
+        (outcome, o.routing)
+    })
 }
 
 #[cfg(test)]
@@ -168,31 +225,38 @@ mod tests {
     fn eight_concurrent_sessions_match_single_session_runs() {
         let (pipeline, pool) = tiny_pipeline();
         let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 4);
-        let requests =
-            engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 77);
-        assert_eq!(requests.len(), 8);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for variant in [Variant::Meta, Variant::MetaStar] {
+            let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, variant, 77);
+            assert_eq!(requests.len(), 8);
 
-        let outcomes = engine.run_sessions(requests.clone(), &pool);
-        assert_eq!(outcomes.len(), 8);
-        for (req, got) in requests.into_iter().zip(&outcomes) {
-            assert_eq!(req.id, got.id, "outcomes must keep request order");
-            // The exact single-session path the engine wraps.
-            let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
-            assert_eq!(solo.confusion, got.outcome.confusion);
-            assert_eq!(solo.labels_used, got.outcome.labels_used);
-            for (a, b) in solo
-                .subspace_outcomes
-                .iter()
-                .zip(&got.outcome.subspace_outcomes)
-            {
-                assert_eq!(a.predictions, b.predictions);
-                assert_eq!(a.cs_labels, b.cs_labels);
-                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let outcomes = engine.run_sessions(requests.clone(), &pool);
+            assert_eq!(outcomes.len(), 8);
+            for (req, got) in requests.into_iter().zip(&outcomes) {
+                assert_eq!(req.id, got.id, "outcomes must keep request order");
+                // The single-session reference every served session must
+                // reproduce bit for bit.
+                let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
+                assert_eq!(solo.confusion, got.outcome.confusion, "{variant:?}");
+                assert_eq!(solo.labels_used, got.outcome.labels_used, "{variant:?}");
                 assert_eq!(
-                    bits(&a.scores),
-                    bits(&b.scores),
-                    "scores must be bitwise equal"
+                    bits(&solo.per_subspace_f1),
+                    bits(&got.outcome.per_subspace_f1),
+                    "{variant:?}: per-subspace F1 must be bitwise equal"
                 );
+                for (a, b) in solo
+                    .subspace_outcomes
+                    .iter()
+                    .zip(&got.outcome.subspace_outcomes)
+                {
+                    assert_eq!(a.predictions, b.predictions, "{variant:?}");
+                    assert_eq!(a.cs_labels, b.cs_labels, "{variant:?}");
+                    assert_eq!(
+                        bits(&a.scores),
+                        bits(&b.scores),
+                        "{variant:?}: scores must be bitwise equal"
+                    );
+                }
             }
         }
     }

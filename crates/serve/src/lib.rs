@@ -11,9 +11,10 @@
 //! This crate adds the serving layer:
 //!
 //! * [`SessionEngine`] — owns an `Arc<LtePipeline>` (the shared read-only
-//!   meta-trained state) and drives N concurrent sessions through the
-//!   existing `explore_subspace`/pipeline machinery on the worker pool in
-//!   [`lte_core::parallel`],
+//!   meta-trained state) and serves a batch of N concurrent sessions
+//!   through the [`ScoringService`] tick loop below — plain
+//!   ([`SessionEngine::run_sessions`]) or routed over a model library
+//!   ([`SessionEngine::run_sessions_routed`]),
 //! * [`SessionRequest`] / [`SessionOutcome`] — one user's exploration in
 //!   and out,
 //! * [`ThroughputStats`] — sessions/sec and p50/p95 round latency for
@@ -22,8 +23,8 @@
 //!   workload simulation: cohorts of simulated analysts (steady, drifting,
 //!   churning; see [`lte_core::scenario`]) composed into one reproducible
 //!   batch, reported per cohort by [`ScenarioReport`],
-//! * [`ScoringService`] — the cross-session batched path: sessions from
-//!   all shards advance in ticks, every tick's pool-scoring requests fuse
+//! * [`ScoringService`] — the one round loop: sessions from all shards
+//!   advance in ticks, every tick's pool-scoring requests fuse
 //!   into one wide [`lte_core::scorer::score_fused_with`] call, and
 //!   each shard's encoded pool is cached per pipeline epoch instead of
 //!   rebuilt per session per round. Admission is asynchronous
@@ -77,10 +78,10 @@ pub mod stats;
 pub mod swap;
 
 pub use admission::{AdmissionQueue, AdmissionState};
-pub use engine::{SessionEngine, SessionOutcome, SessionRequest};
+pub use engine::{RoutedSession, SessionEngine, SessionOutcome, SessionRequest};
 pub use scenario::{Cohort, ScenarioConfig, ScenarioOutcome, ScenarioRequest};
 pub use service::{
-    RoutedSession, ScoringService, ScoringServiceBuilder, ServiceOutcome, ServiceStats, TickReport,
+    ScoringService, ScoringServiceBuilder, ServiceOutcome, ServiceStats, TickReport,
 };
 pub use stats::{percentile, CohortStats, ScenarioReport, ThroughputStats};
 pub use swap::SwapCell;

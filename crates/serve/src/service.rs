@@ -1,13 +1,14 @@
 //! Cross-session batched scoring: the tick-driven [`ScoringService`].
 //!
-//! The per-session engine ([`SessionEngine::run_sessions`]) runs each
-//! session end to end on one worker: every round re-encodes the retrieval
-//! pool and issues its own small
+//! The single-session reference ([`LtePipeline::explore`]) runs one
+//! session end to end: every round re-encodes the retrieval pool and
+//! issues its own small
 //! [`Scorer::score`](lte_core::scorer::Scorer::score) call. At serving
 //! scale (64+ concurrent sessions over the same pool) that shape wastes
 //! the batch structure twice — the pool is projected and encoded once *per
 //! session per round*, and the matmul-heavy scoring runs as many narrow
-//! calls instead of one wide one.
+//! calls instead of one wide one. The service is the serving layer's one
+//! round loop: [`crate::SessionEngine`]'s batch methods wrap it.
 //!
 //! The service inverts the loop. Time advances in **ticks**; each tick:
 //!
@@ -43,8 +44,7 @@
 //! batch across all of them.
 
 use crate::admission::{AdmissionQueue, AdmissionState};
-use crate::engine::{SessionEngine, SessionOutcome, SessionRequest};
-use crate::stats::ThroughputStats;
+use crate::engine::SessionRequest;
 use crate::swap::SwapCell;
 use lte_core::explore::{finish_round, prepare_round, PreparedRound, Variant};
 use lte_core::oracle::RegionOracle;
@@ -116,9 +116,9 @@ struct ActiveSession {
     epochs: Vec<u64>,
 }
 
-/// A completed session, with the service-side provenance the per-session
-/// engine cannot express: which pipeline epoch served each round and when
-/// the session moved through the queue.
+/// A completed session, with the service-side provenance a
+/// [`crate::SessionOutcome`] drops: which pipeline epoch served each round
+/// and when the session moved through the queue.
 #[derive(Debug, Clone)]
 pub struct ServiceOutcome {
     /// The request's identifier.
@@ -756,106 +756,10 @@ impl ScoringService {
     }
 }
 
-/// One completed routed session: the outcome plus the routing decision
-/// that picked its pipeline.
-#[derive(Debug, Clone)]
-pub struct RoutedSession {
-    /// The session result, in the per-session engine's shape.
-    pub outcome: SessionOutcome,
-    /// Which registry entry served it, and why (see
-    /// [`RoutingDecision::explanation`]).
-    pub decision: RoutingDecision,
-}
-
-impl SessionEngine {
-    /// Serve every request through a [`PipelineRegistry`]: the router
-    /// picks a pipeline per session (explained in each
-    /// [`RoutedSession::decision`]) and the sessions run through the fused
-    /// [`ScoringService`] tick loop at this engine's worker count.
-    ///
-    /// The engine's own pipeline is not consulted — the registry is the
-    /// model library — but the worker pool and determinism contract are
-    /// the engine's: outcomes come back in request order, bit-identical at
-    /// any worker count. With a single-entry registry this degenerates to
-    /// [`SessionEngine::run_sessions_fused`] over that entry's pipeline,
-    /// bitwise.
-    pub fn run_sessions_routed(
-        &self,
-        requests: Vec<SessionRequest>,
-        eval_rows: &[Vec<f64>],
-        registry: Arc<PipelineRegistry>,
-        router: Router,
-    ) -> Vec<RoutedSession> {
-        let mut service = ScoringService::builder()
-            .workers(self.workers())
-            .routed_shard("routed", registry, router, eval_rows.to_vec())
-            .build();
-        for req in requests {
-            service.submit_routed("routed", req);
-        }
-        service.run_until_idle();
-        let mut done = service.take_completed();
-        done.sort_by_key(|o| o.submit_seq);
-        done.into_iter()
-            .map(|o| RoutedSession {
-                outcome: SessionOutcome {
-                    id: o.id,
-                    wall_seconds: o.outcome.online_seconds,
-                    outcome: o.outcome,
-                },
-                decision: o.routing.expect("routed submissions carry a decision"),
-            })
-            .collect()
-    }
-
-    /// [`SessionEngine::run_sessions`] through the fused
-    /// [`ScoringService`]: one "default" shard over this engine's
-    /// pipeline, every session admitted immediately, pool scoring fused
-    /// per tick. Outcomes come back in request order and are bit-identical
-    /// to the per-session path (timing fields aside).
-    pub fn run_sessions_fused(
-        &self,
-        requests: Vec<SessionRequest>,
-        eval_rows: &[Vec<f64>],
-    ) -> Vec<SessionOutcome> {
-        self.run_with_stats_fused(requests, eval_rows).0
-    }
-
-    /// [`SessionEngine::run_sessions_fused`] plus aggregate throughput
-    /// statistics, mirroring [`SessionEngine::run_with_stats`].
-    pub fn run_with_stats_fused(
-        &self,
-        requests: Vec<SessionRequest>,
-        eval_rows: &[Vec<f64>],
-    ) -> (Vec<SessionOutcome>, ThroughputStats) {
-        let t0 = Instant::now();
-        let mut service = ScoringService::builder()
-            .workers(self.workers())
-            .shard("default", self.shared_pipeline(), eval_rows.to_vec())
-            .build();
-        for req in requests {
-            service.submit("default", req);
-        }
-        service.run_until_idle();
-        let mut done = service.take_completed();
-        done.sort_by_key(|o| o.submit_seq);
-        let outcomes: Vec<SessionOutcome> = done
-            .into_iter()
-            .map(|o| SessionOutcome {
-                id: o.id,
-                wall_seconds: o.outcome.online_seconds,
-                outcome: o.outcome,
-            })
-            .collect();
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = ThroughputStats::collect(&outcomes, wall, self.workers());
-        (outcomes, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SessionEngine;
     use lte_core::config::LteConfig;
     use lte_core::oracle::ConjunctiveOracle;
     use lte_core::uis::UisMode;
@@ -919,32 +823,6 @@ mod tests {
         // Each round saw epoch 0 (no swap happened).
         for o in &done {
             assert_eq!(o.epochs, vec![0, 0]);
-        }
-    }
-
-    #[test]
-    fn fused_wrapper_matches_per_session_engine() {
-        let (pipeline, pool) = tiny();
-        let engine = SessionEngine::with_workers(pipeline, 2);
-        let requests =
-            engine.simulate_requests(4, UisMode::new(1, 10), 0.2, 0.9, Variant::MetaStar, 11);
-        let solo = engine.run_sessions(requests.clone(), &pool);
-        let fused = engine.run_sessions_fused(requests, &pool);
-        assert_eq!(solo.len(), fused.len());
-        for (a, b) in solo.iter().zip(&fused) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.outcome.confusion, b.outcome.confusion);
-            assert_eq!(a.outcome.per_subspace_f1, b.outcome.per_subspace_f1);
-            for (x, y) in a
-                .outcome
-                .subspace_outcomes
-                .iter()
-                .zip(&b.outcome.subspace_outcomes)
-            {
-                assert_eq!(x.predictions, y.predictions);
-                let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&x.scores), bits(&y.scores));
-            }
         }
     }
 

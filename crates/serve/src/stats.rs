@@ -1,10 +1,11 @@
 //! Serving throughput and latency aggregates.
 //!
-//! A **round** is one labelling round of one subspace session — a single
-//! `explore_subspace` call (initial labels, fast adaptation, pool
-//! prediction). A session over `k` subspaces contributes `k` rounds. Round
-//! latencies are the per-subspace `online_seconds` measured inside the
-//! core, so they exclude engine queueing and oracle labelling time.
+//! A **round** is one labelling round of one subspace session, as a tick
+//! runs it: `prepare_round`, the round's row share of the fused scoring
+//! call, and `finish_round`. A session over `k` subspaces contributes `k`
+//! rounds. Round latencies are the per-subspace `online_seconds` measured
+//! inside those stages, so they exclude queueing, the wait between ticks,
+//! and oracle labelling time.
 
 use crate::engine::SessionOutcome;
 use crate::scenario::{ScenarioConfig, ScenarioOutcome};

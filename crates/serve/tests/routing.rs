@@ -3,7 +3,7 @@
 //! request (identical at any worker count), a registry survives the LTER
 //! persistence round trip without perturbing a single routing bit, and a
 //! degenerate single-entry registry is *bitwise invisible* — routing over
-//! it produces exactly the unrouted fused path's outputs.
+//! it produces exactly the unrouted path's outputs.
 
 use lte_core::config::LteConfig;
 use lte_core::explore::Variant;
@@ -163,17 +163,28 @@ fn single_entry_registry_matches_unrouted_path_bitwise() {
     let registry = Arc::new(registry);
 
     let engine = SessionEngine::with_workers(only, 2);
-    let unrouted = engine.run_sessions_fused(requests.clone(), &pool);
-    let routed = engine.run_sessions_routed(requests, &pool, registry, Router::new(42));
+    let unrouted = engine.run_sessions(requests.clone(), &pool);
+    let routed = engine.run_sessions_routed(requests.clone(), &pool, registry, Router::new(42));
 
     assert_eq!(unrouted.len(), routed.len());
-    for (a, b) in unrouted.iter().zip(&routed) {
+    for ((a, b), req) in unrouted.iter().zip(&routed).zip(&requests) {
         assert_eq!(a.id, b.outcome.id);
         assert_eq!(b.decision.chosen, 0);
         assert_eq!(
             outcome_bytes(&a.outcome),
             outcome_bytes(&b.outcome.outcome),
             "session {} diverged between unrouted and single-entry routed",
+            a.id
+        );
+        // Both paths are the service; anchor them to the single-session
+        // reference.
+        let solo = engine
+            .pipeline()
+            .explore(&req.truth, &pool, req.variant, req.seed);
+        assert_eq!(
+            outcome_bytes(&solo),
+            outcome_bytes(&b.outcome.outcome),
+            "session {} diverged between the reference and single-entry routed",
             a.id
         );
     }

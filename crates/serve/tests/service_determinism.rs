@@ -2,9 +2,9 @@
 //! outcomes: fusing every session's pool-scoring into one wide call per
 //! tick, parking sessions behind the admission queue, or splitting traffic
 //! across dataset shards may change scheduling and timing — never a single
-//! output bit. These tests pin the four contracts: fused == per-session,
-//! 1 worker == N workers, bounded capacity == unbounded, and sharded ==
-//! each shard solo.
+//! output bit. These tests pin the four contracts: the service ==
+//! the single-session reference (`LtePipeline::explore`), 1 worker == N
+//! workers, bounded capacity == unbounded, and sharded == each shard solo.
 
 use lte_core::config::{LteConfig, ScoringPrecision};
 use lte_core::explore::Variant;
@@ -88,16 +88,16 @@ fn fused_service_matches_per_session_engine_for_every_variant() {
     for variant in [Variant::Basic, Variant::Meta, Variant::MetaStar] {
         let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 2);
         let requests = engine.simulate_requests(6, UisMode::new(1, 10), 0.2, 0.9, variant, 42);
-        let solo = engine.run_sessions(requests.clone(), &pool);
-        let fused = engine.run_sessions_fused(requests, &pool);
-        assert_eq!(solo.len(), fused.len());
-        for (a, b) in solo.iter().zip(&fused) {
-            assert_eq!(a.id, b.id, "{variant:?}: ordering diverged");
+        let fused = engine.run_sessions(requests.clone(), &pool);
+        assert_eq!(requests.len(), fused.len());
+        for (req, b) in requests.iter().zip(&fused) {
+            assert_eq!(req.id, b.id, "{variant:?}: ordering diverged");
+            let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
             assert_eq!(
-                outcome_bytes(&a.outcome),
+                outcome_bytes(&solo),
                 outcome_bytes(&b.outcome),
-                "{variant:?}: session {} diverged between per-session and fused",
-                a.id
+                "{variant:?}: session {} diverged between the reference and the service",
+                req.id
             );
         }
     }
@@ -188,7 +188,7 @@ fn multi_part_truths_fold_to_full_space_labels_at_one_and_four_workers() {
 fn fast_precision_serves_deterministically_across_worker_counts() {
     // `ScoringPrecision::Fast` flows from the pipeline config straight
     // through the service's fused scoring path (no serve-side switch), so
-    // the worker-sweep determinism contract and fused == per-session must
+    // the worker-sweep determinism contract and service == reference must
     // hold for it too.
     let table = generate_sdss(3000, 0);
     let pool: Vec<Vec<f64>> = (0..300).map(|i| table.row(i).unwrap()).collect();
@@ -217,21 +217,20 @@ fn fast_precision_serves_deterministically_across_worker_counts() {
     };
     let done_1 = run(1);
     let done_4 = run(4);
-    let solo = engine.run_sessions(requests.clone(), &pool);
     assert_eq!(done_1.len(), 6);
-    assert_eq!(solo.len(), 6);
-    for ((a, b), s) in done_1.iter().zip(&done_4).zip(&solo) {
+    for ((a, b), req) in done_1.iter().zip(&done_4).zip(&requests) {
         assert_eq!(
             service_bytes(a),
             service_bytes(b),
             "fast session {} diverged between 1 and 4 workers",
             a.id
         );
-        assert_eq!(a.id, s.id);
+        assert_eq!(a.id, req.id);
+        let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
         assert_eq!(
             outcome_bytes(&a.outcome),
-            outcome_bytes(&s.outcome),
-            "fast session {} diverged between the service and run_sessions",
+            outcome_bytes(&solo),
+            "fast session {} diverged between the service and the reference",
             a.id
         );
     }
